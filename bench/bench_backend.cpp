@@ -5,7 +5,7 @@
 //
 //  1. pios-style microbench sweeps (host wall-clock): fork/join latency of
 //     an empty parallel region, first-read page *touch* cost (remote fetch
-//     per page), and page *scrub* cost (write-barrier trap + diff per page)
+//     per page), and page *scrub* cost (write declaration + diff per page)
 //     over a range of region sizes.
 //  2. wall-clock application legs: jacobi and hotspot at bench size, with
 //     the differential guarantee that sim and real checksums are
@@ -116,8 +116,8 @@ MicroResult touch_sweep(dsm::BackendKind backend, int nprocs,
 }
 
 /// Scrub sweep: every process writes one byte into each page of its own
-/// block every round — one op is one page write (under real: one SIGSEGV
-/// write-barrier trap + harvest + diff at the barrier).
+/// block every round — one op is one page write (write_range twin +
+/// protection change, then a diff at the barrier).
 MicroResult scrub_sweep(dsm::BackendKind backend, int nprocs,
                         std::int32_t npages, int rounds) {
   using namespace dsm;
@@ -211,8 +211,8 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Backend microbenchmarks (host wall-clock)",
       "Fork/join, page touch (first-read fetch), and page scrub (write "
-      "barrier + diff) under --backend sim and --backend real; real page "
-      "costs include the SIGSEGV trap + twin copy (DESIGN.md §14).");
+      "declaration + diff) under --backend sim and --backend real; real "
+      "page costs include the mprotect calls (DESIGN.md §14).");
   struct SweepRow {
     std::string name;
     MicroResult sim, real;

@@ -25,8 +25,8 @@ inline apps::Size size_from_options(const util::Options& opts) {
 }
 
 /// --backend {sim,real}: execution backend (defaults to ANOW_BACKEND, else
-/// sim — DESIGN.md §14).  real runs the protocol on pthreads with SIGSEGV
-/// write barriers and reports wall-clock seconds.
+/// sim — DESIGN.md §14).  real runs the protocol on pthreads with
+/// mprotect'd heaps and reports wall-clock seconds.
 inline dsm::BackendKind backend_from_options(const util::Options& opts) {
   return dsm::parse_backend_kind(opts.get_choice(
       "backend", {"sim", "real"},

@@ -16,7 +16,6 @@
 
 #include "apps/jacobi.hpp"
 #include "bench_common.hpp"
-#include "exec/heap.hpp"
 #include "dsm/channel.hpp"
 #include "dsm/diff.hpp"
 #include "dsm/msg.hpp"
@@ -84,33 +83,6 @@ std::pair<PrimitiveResult, PrimitiveResult> diff_throughput() {
   apply.seconds = seconds_since(t0);
   apply.ops = kIters;
   return {make, apply};
-}
-
-/// SIGSEGV write-barrier service cost (the real backend's page fault
-/// primitive, DESIGN.md §14): protect a RealHeap page read-only, store one
-/// word (trap -> twin snapshot -> mprotect RW), then harvest the trap list.
-/// One op = one serviced write fault; the dominant terms are the kernel
-/// signal round trip and the 4 KiB twin copy.
-PrimitiveResult page_fault_service_throughput() {
-  constexpr std::int32_t kPages = 256;
-  constexpr int kRounds = 200;
-  exec::RealHeap heap(kPages * exec::kPageBytes);
-  std::vector<std::int32_t> traps(kPages);
-  PrimitiveResult out;
-  const auto t0 = Clock::now();
-  for (int r = 0; r < kRounds; ++r) {
-    for (std::int32_t p = 0; p < kPages; ++p) {
-      heap.set_access(p, exec::PageAccess::kRead);
-    }
-    volatile std::uint8_t* app = heap.app_base();
-    for (std::int32_t p = 0; p < kPages; ++p) {
-      app[static_cast<std::size_t>(p) * exec::kPageBytes] =
-          static_cast<std::uint8_t>(r);
-    }
-    out.ops += static_cast<std::int64_t>(heap.take_write_faults(traps.data()));
-  }
-  out.seconds = seconds_since(t0);
-  return out;
 }
 
 dsm::Interval random_release_interval(util::Rng& rng) {
@@ -457,7 +429,6 @@ std::map<std::string, double> run_primitives_and_write_json() {
   const auto envelope = envelope_pack_unpack_throughput();
   const auto sim_loop = sim_event_loop_throughput();
   const auto page_fetch = page_fetch_throughput();
-  const auto page_fault = page_fault_service_throughput();
   const auto barrier = barrier_round_throughput();
   // Control-plane sweep: flat vs combining tree at fanout 4 and 8, small
   // and large teams (at 8 procs fanout 8 the tree degenerates to flat —
@@ -504,7 +475,6 @@ std::map<std::string, double> run_primitives_and_write_json() {
   add("envelope pack/unpack", envelope);
   add("sim event loop", sim_loop);
   add("page fetch", page_fetch);
-  add("page fault service", page_fault);
   add("barrier round", barrier);
   for (const auto& point : tree_sweep) {
     std::ostringstream label;
@@ -562,7 +532,6 @@ std::map<std::string, double> run_primitives_and_write_json() {
   emit("envelope_pack_unpack", envelope);
   emit("sim_event_loop", sim_loop);
   emit("page_fetch", page_fetch);
-  emit("page_fault_service", page_fault);
   emit("barrier_round", barrier);
   for (const auto& point : tree_sweep) {
     json.begin_object(point.name);

@@ -30,7 +30,7 @@
 //
 // Simulation is not the only executor: --backend real / ANOW_BACKEND=real
 // runs the same protocol on actual pthreads with mmap page privatization
-// and SIGSEGV write barriers, reporting measured wall-clock instead of
+// and per-page protection checks, reporting measured wall-clock instead of
 // virtual time (DESIGN.md §14).  This particular demo stays on the
 // simulator because its point is the join/leave schedule, which needs
 // virtual time — see tests/exec/backend_test.cpp and

@@ -25,8 +25,8 @@ enum class BackendKind : std::uint8_t {
   /// Discrete-event simulator: fibers, virtual time, modelled network.
   /// The default, byte-identical to the pre-seam code.
   kSim,
-  /// Real hardware: one pthread per DSM process, mmap-privatized heaps,
-  /// SIGSEGV write barriers, SPSC-ring transport, wall-clock time.  The
+  /// Real hardware: one pthread per DSM process, mmap-privatized heaps
+  /// under per-page protection, SPSC-ring transport, wall-clock time.  The
   /// consistency engines run unchanged; virtual cost modelling evaporates.
   kReal,
 };
@@ -176,7 +176,7 @@ struct DsmConfig {
   std::int64_t heap_bytes = 16ll << 20;
 
   /// Execution backend (DESIGN.md §14): the simulator (default) or real
-  /// pthreads + mprotect write barriers.  Defaults to ANOW_BACKEND, else
+  /// pthreads + mprotect'd heaps.  Defaults to ANOW_BACKEND, else
   /// sim.  Under kReal, tracing, race checking, adaptation events and
   /// adaptive placement are rejected at start (they ride simulator-only
   /// machinery).

@@ -47,21 +47,15 @@ DsmProcess::DsmProcess(DsmSystem& system, Uid uid, sim::HostId host)
   // whole heap when unsharded, a shard holder's own range (plus its
   // authoritative owner slice) when sharded; everyone else faults pages in
   // on demand with hints at the pages' default holders (DESIGN.md §8).
-  // The engine works on the protocol view: serve/install/diff-apply must
-  // never trip the app view's write barrier.
+  // The engine works on the protocol view: serve/install/diff-apply never
+  // depend on the app view's protection.
   engine_->attach_node(uid_, heap_->prot_base(), system_.num_pages(),
                        system_.protocol_table(), system_.stats(),
                        system_.node_dir_init_for(uid_));
-  if (real_) {
-    trap_buf_.resize(static_cast<std::size_t>(system_.num_pages()));
-    scratch_page_.resize(kPageSize);
-    heap_sync_all();  // protections from the seeded engine state
-    // Bracket every inbound envelope with harvest + resync, so handlers
-    // (serve, flush-apply, exclusivity revocation) always see replayed app
-    // writes and leave protections consistent (DESIGN.md §14).
-    system_.rt().set_delivery_hooks(
-        uid_, [this] { harvest_write_faults(); }, [this] { heap_sync_all(); });
-  }
+  heap_sync_all();  // protections from the seeded engine state
+  // Handlers (serve, flush-apply, exclusivity revocation) change page state;
+  // resync protection after every inbound envelope (DESIGN.md §14).
+  system_.rt().set_delivery_hook(uid_, [this] { heap_sync_all(); });
   // The recorder (if any) was enabled before this process was constructed
   // (DsmSystem's constructor runs first), so the cached pointer is stable
   // for the process's lifetime.
@@ -114,10 +108,9 @@ void DsmProcess::read_range(GAddr addr, std::size_t len) {
   // application promises to touch — the same contract the fault machinery
   // itself trusts — so it is the read set of the current segment.
   if (race_ != nullptr) race_->record_read(uid_, addr, len);
-  if (real_) harvest_write_faults();
   if (channel_.mode() == PiggybackMode::kAggressive && last - first > 1) {
     fault_in_range(first, last);
-    if (real_) heap_sync_all();
+    heap_sync_all();
     return;
   }
   for (PageId p = first; p < last; ++p) {
@@ -126,7 +119,7 @@ void DsmProcess::read_range(GAddr addr, std::size_t len) {
       fault_in(p);
     }
   }
-  if (real_) heap_sync_all();
+  heap_sync_all();
 }
 
 void DsmProcess::write_range(GAddr addr, std::size_t len) {
@@ -139,7 +132,6 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
   // single-writer pages make none), while the declaration is always
   // present and is what the checksums already depend on being accurate.
   if (race_ != nullptr) race_->record_write(uid_, addr, len);
-  if (real_) harvest_write_faults();
   if (channel_.mode() == PiggybackMode::kAggressive && last - first > 1) {
     // The read side of a multi-page write fault batches exactly like
     // read_range: full-page fetch requests share one envelope per source,
@@ -153,15 +145,6 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
     if (!engine_->page(p).is_valid()) {
       (*ctr_faults_read_)++;
       fault_in(p);
-    }
-    if (real_) {
-      // The write barrier is the dirty-tracking mechanism: a declared-but-
-      // clean page stays read-only and its first store traps, to be
-      // harvested (twin + declare_write) at the next choke point.  Only
-      // exclusivity needs refreshing here — an exclusive page's writes
-      // never trap, by design, so its epoch must stay current.
-      if (engine_->page(p).exclusive) engine_->note_exclusive_write(p);
-      continue;
     }
     if (engine_->page(p).dirty) continue;  // already writable this interval
 
@@ -207,7 +190,7 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
                        << *cptr<std::int64_t>(page_base(p)));
     ++accessed_since_fork_;
   }
-  if (real_) heap_sync_all();
+  heap_sync_all();
 }
 
 // ---------------------------------------------------------------------------
@@ -558,7 +541,6 @@ void DsmProcess::flush_homes(bool divert_master_to_tree) {
 void DsmProcess::barrier(std::int32_t barrier_id) {
   obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kBarrierWait);
   flush_cpu();
-  if (real_) harvest_write_faults();  // before finish_interval sees the sets
   (*ctr_barrier_waits_)++;
   // The arrival is a release point: the detector closes this process's
   // access segment and accumulates its clock into the epoch (DESIGN.md
@@ -612,7 +594,7 @@ void DsmProcess::barrier(std::int32_t barrier_id) {
     if (race_ != nullptr) race_->on_barrier_release(uid_);
     // Invalidation notices just integrated must revoke app-view access
     // before application code resumes.
-    if (real_) heap_sync_all();
+    heap_sync_all();
     return;
   }
 }
@@ -620,7 +602,6 @@ void DsmProcess::barrier(std::int32_t barrier_id) {
 void DsmProcess::lock_acquire(std::int32_t lock_id) {
   obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kLockStall);
   flush_cpu();
-  if (real_) harvest_write_faults();
   (*ctr_lock_acquires_)++;
   channel_.send(kMasterUid, LockAcquireReq{uid_, lock_id});
   system_.rt().wait(lock_wp_, "lock grant");
@@ -631,13 +612,12 @@ void DsmProcess::lock_acquire(std::int32_t lock_id) {
   // Grant received: accesses before the acquire keep their pre-join clock
   // (segment closed), then this process joins the release chain's clock.
   if (race_ != nullptr) race_->on_lock_acquire(uid_, lock_id);
-  if (real_) heap_sync_all();  // grant-borne invalidations
+  heap_sync_all();  // grant-borne invalidations
 }
 
 void DsmProcess::lock_release(std::int32_t lock_id) {
   obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kLockRelease);
   flush_cpu();
-  if (real_) harvest_write_faults();
   // Release point: close the access segment and publish this clock into
   // the lock's chain before the next holder can join it.
   if (race_ != nullptr) race_->on_lock_release(uid_, lock_id);
@@ -648,8 +628,8 @@ void DsmProcess::lock_release(std::int32_t lock_id) {
   channel_.send(kMasterUid, LockReleaseMsg{uid_, lock_id, std::move(iv)});
   // Releases are asynchronous in TreadMarks: no reply awaited.
   // finish_interval cleared the dirty set: the next write to each page must
-  // trap again.
-  if (real_) heap_sync_all();
+  // be declared again.
+  heap_sync_all();
 }
 
 void DsmProcess::compute(double cpu_seconds) {
@@ -1307,7 +1287,7 @@ void DsmProcess::run_task(const ForkMsg& fork) {
   accessed_since_fork_ = 0;
   // Fork-borne invalidations/commits must revoke app-view access before
   // the task body runs.
-  if (real_) heap_sync_all();
+  heap_sync_all();
   system_.run_task_body(fork.task_id, *this, fork.args);
   barrier(kJoinBarrierId);
 }
@@ -1348,7 +1328,7 @@ void DsmProcess::slave_main() {
 }
 
 // ---------------------------------------------------------------------------
-// Real-backend write barrier (DESIGN.md §14)
+// Real-backend protection check (DESIGN.md §14)
 // ---------------------------------------------------------------------------
 
 exec::PageAccess DsmProcess::desired_access(PageId page) const {
@@ -1365,35 +1345,6 @@ void DsmProcess::heap_sync_all() {
   const PageId n = system_.num_pages();
   for (PageId p = 0; p < n; ++p) {
     heap_->set_access(p, desired_access(p));
-  }
-}
-
-void DsmProcess::harvest_write_faults() {
-  if (!real_) return;
-  const std::size_t n = heap_->take_write_faults(trap_buf_.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    const PageId p = trap_buf_[i];
-    (*ctr_faults_write_)++;
-    ++accessed_since_fork_;
-    // The trap opened the page RW behind the engine's back; the engine must
-    // now observe the write exactly as the simulator's write_range would
-    // have — against the PRE-write page image.  An exclusive page needs no
-    // twin (nothing to invalidate); a page a revoking serve already dirtied
-    // needs nothing at all.
-    if (engine_->page(p).exclusive && engine_->note_exclusive_write(p)) {
-      continue;
-    }
-    if (engine_->page(p).dirty) continue;
-    // Region-swap: park the application's bytes, restore the handler's
-    // pre-write snapshot, let the engine twin/diff against it, then put the
-    // application's bytes back.  flush_lazy_twin diffs the *previous*
-    // interval's twin against the pre-write image; declare_write twins it.
-    std::uint8_t* region_page = heap_->prot_base() + page_base(p);
-    std::memcpy(scratch_page_.data(), region_page, kPageSize);
-    std::memcpy(region_page, heap_->fault_twin(p), kPageSize);
-    engine_->flush_lazy_twin(p);
-    engine_->declare_write(p);
-    std::memcpy(region_page, scratch_page_.data(), kPageSize);
   }
 }
 

@@ -70,9 +70,9 @@ class DsmProcess {
 
   /// Raw pointer into the local copy of the shared region.  Only valid for
   /// ranges previously touched via read_range/write_range in this interval.
-  /// Under --backend real this is the mprotect'd app view: a stray write to
-  /// a clean page is caught by the SIGSEGV barrier, a touch of an invalid
-  /// page is a hard fault.
+  /// Under --backend real this is the mprotect'd app view: a write to a
+  /// page not declared by write_range, or any touch of an invalid page,
+  /// dies on SIGSEGV.
   template <typename T>
   T* ptr(GAddr addr) {
     return reinterpret_cast<T*>(heap_->app_base() + addr);
@@ -219,14 +219,7 @@ class DsmProcess {
   /// the rest go through the normal fault path.
   void gc_validate(const OwnerDelta& owners);
 
-  // --- real-backend write barrier (DESIGN.md §14) ----------------------------
-  /// Replays SIGSEGV-trapped first writes into the engine at a protocol
-  /// choke point: for each trapped page the handler's pre-write snapshot is
-  /// swapped into the region, flush_lazy_twin/declare_write run against it
-  /// (so twins capture exactly the image the simulator would have seen),
-  /// then the application's bytes are restored.  No-op under the simulator
-  /// and when nothing trapped.
-  void harvest_write_faults();
+  // --- real-backend protection check (DESIGN.md §14) -------------------------
   /// Re-derives every page's app-view protection from engine state.  No-op
   /// under the simulator.
   void heap_sync_all();
@@ -268,15 +261,12 @@ class DsmProcess {
   util::StatsRegistry::Counter* ctr_home_validation_faults_ = nullptr;
 
   /// The shared-region storage behind the execution seam (DESIGN.md §14):
-  /// SimHeap (one plain buffer) or RealHeap (dual-mapped memfd pages with
-  /// mprotect write barriers), per DsmConfig::backend.
+  /// SimHeap (one plain buffer) or RealHeap (dual-mapped memfd pages whose
+  /// app view is mprotect'd), per DsmConfig::backend.
   std::unique_ptr<exec::ProcessHeap> heap_;
-  /// True under --backend real; gates the harvest/sync hooks.
+  /// True under --backend real: gates heap_sync_all and skips the virtual
+  /// CPU cost model.
   bool real_ = false;
-  /// Scratch for harvest_write_faults (preallocated; fiber/thread-local by
-  /// the single-threaded-process invariant).
-  std::vector<std::int32_t> trap_buf_;
-  std::vector<std::uint8_t> scratch_page_;
   std::unique_ptr<protocol::ConsistencyEngine> engine_;
   /// Outbound transport: all sends depart through here (DESIGN.md §7).
   Channel channel_;

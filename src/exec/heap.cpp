@@ -4,18 +4,14 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 #include "util/check.hpp"
 
 namespace anow::exec {
 
 namespace {
-
-// fault_handler.cpp mirrors these numerically; keep them in lockstep.
-static_assert(static_cast<std::uint8_t>(PageAccess::kRead) == 1);
-static_assert(static_cast<std::uint8_t>(PageAccess::kWrite) == 2);
 
 int prot_for(PageAccess a) {
   switch (a) {
@@ -29,53 +25,32 @@ int prot_for(PageAccess a) {
   return PROT_NONE;
 }
 
-std::mutex& registry_mu() {
-  static std::mutex mu;
-  return mu;
-}
-
-void register_heap(detail::HeapDesc* d) {
-  std::lock_guard<std::mutex> lk(registry_mu());
-  detail::install_fault_handler();
-  detail::HeapDesc** slots = detail::heap_slots();
-  for (std::size_t i = 0; i < detail::kMaxHeaps; ++i) {
-    if (slots[i] == nullptr) {
-      slots[i] = d;
-      return;
-    }
-  }
-  ANOW_CHECK_MSG(false, "exec: more than kMaxHeaps live RealHeaps");
-}
-
-void unregister_heap(detail::HeapDesc* d) {
-  std::lock_guard<std::mutex> lk(registry_mu());
-  detail::HeapDesc** slots = detail::heap_slots();
-  for (std::size_t i = 0; i < detail::kMaxHeaps; ++i) {
-    if (slots[i] == d) slots[i] = nullptr;
-  }
-}
-
 }  // namespace
 
 ProcessHeap::~ProcessHeap() = default;
 
-SimHeap::SimHeap(std::size_t bytes) : buf_(bytes, 0) {
+SimHeap::SimHeap(std::size_t bytes) {
   ANOW_CHECK(bytes % kPageBytes == 0);
-  app_ = buf_.data();
-  prot_ = buf_.data();
+  // calloc, not an explicit zero fill: memory fresh from the OS is already
+  // zero, so calloc leaves its pages untouched until the simulation uses
+  // them, where a fill would fault in every process's whole heap up front.
+  app_ = static_cast<std::uint8_t*>(std::calloc(bytes, 1));
+  ANOW_CHECK_MSG(app_ != nullptr, "sim heap allocation failed");
+  prot_ = app_;
   bytes_ = bytes;
 }
+
+SimHeap::~SimHeap() { std::free(app_); }
 
 RealHeap::RealHeap(std::size_t bytes) {
   ANOW_CHECK(bytes % kPageBytes == 0);
   ANOW_CHECK_MSG(static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) == kPageBytes,
                  "real backend requires 4 KiB hardware pages");
   bytes_ = bytes;
-  const std::size_t np = bytes / kPageBytes;
 
   // One memfd, mapped twice: the protocol view is always RW, the app view
   // starts PROT_NONE (every page invalid) and is opened per-page by
-  // set_access / the fault handler.
+  // set_access.
   const int fd =
       static_cast<int>(syscall(SYS_memfd_create, "anow-heap", 0u));
   ANOW_CHECK_MSG(fd >= 0, "memfd_create failed");
@@ -90,40 +65,19 @@ RealHeap::RealHeap(std::size_t bytes) {
   app_ = static_cast<std::uint8_t*>(app_map);
   std::memset(prot_, 0, bytes);
 
-  access_ = std::make_unique<std::uint8_t[]>(np);
-  std::memset(access_.get(), 0, np);  // all kNone
-  twins_ = std::make_unique<std::uint8_t[]>(np * kPageBytes);
-  trap_list_ = std::make_unique<std::int32_t[]>(np);
-
-  desc_.app_base = app_;
-  desc_.prot_base = prot_;
-  desc_.bytes = bytes;
-  desc_.npages = np;
-  desc_.access = access_.get();
-  desc_.twins = twins_.get();
-  desc_.trap_list = trap_list_.get();
-  desc_.trap_count = 0;
-  register_heap(&desc_);
+  access_.assign(bytes / kPageBytes, PageAccess::kNone);
 }
 
 RealHeap::~RealHeap() {
-  unregister_heap(&desc_);
   munmap(app_, bytes_);
   munmap(prot_, bytes_);
 }
 
 void RealHeap::set_access(std::int32_t page, PageAccess a) {
   const auto p = static_cast<std::size_t>(page);
-  if (static_cast<PageAccess>(access_[p]) == a) return;
-  access_[p] = static_cast<std::uint8_t>(a);
+  if (access_[p] == a) return;
+  access_[p] = a;
   ANOW_CHECK(mprotect(app_ + p * kPageBytes, kPageBytes, prot_for(a)) == 0);
-}
-
-std::size_t RealHeap::take_write_faults(std::int32_t* out) {
-  const std::size_t n = desc_.trap_count;
-  for (std::size_t i = 0; i < n; ++i) out[i] = trap_list_[i];
-  desc_.trap_count = 0;
-  return n;
 }
 
 }  // namespace anow::exec

@@ -6,25 +6,24 @@
 //  * prot_base() — the view the protocol machinery (engine install/serve,
 //    diff apply, region restore) reads and writes.
 //
-// SimHeap aliases both views onto one plain buffer — byte-identical to the
-// old std::vector<std::uint8_t> region.  RealHeap maps the same memfd pages
-// twice: the app view carries per-page mprotect state driving the SIGSEGV
-// write barrier (fault_handler.cpp), while the protocol view stays
-// PROT_READ|PROT_WRITE so protocol writes never trap.  Desired page
-// protection is derived from engine state by the owning DsmProcess:
+// SimHeap aliases both views onto one zeroed buffer.  RealHeap maps the
+// same memfd pages twice: the app view carries per-page mprotect state that
+// checks the declaration contract (every shared access goes through
+// read_range / write_range), while the protocol view stays
+// PROT_READ|PROT_WRITE so protocol writes never fault.  Desired page protection is derived from
+// engine state by the owning DsmProcess:
 //
-//    invalid (no copy / pending notices)  -> kNone   (touch = app bug)
-//    valid, clean, tracked                -> kRead   (first write traps)
-//    valid and dirty / exclusive-writable -> kWrite  (writes untracked;
-//                                            diffs or exclusivity cover it)
+//    invalid (no copy / pending notices)  -> kNone   (any touch = app bug)
+//    valid, clean                         -> kRead   (undeclared write = app bug)
+//    valid and dirty / exclusive-writable -> kWrite  (declared this interval)
+//
+// Nothing handles the resulting SIGSEGV: an undeclared access dies on the
+// default disposition (or the sanitizer's report).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
-
-#include "exec/fault_support.hpp"
 
 namespace anow::exec {
 
@@ -42,21 +41,10 @@ class ProcessHeap {
   std::int32_t npages() const {
     return static_cast<std::int32_t>(bytes_ / kPageBytes);
   }
-  virtual bool real() const { return false; }
 
-  // Real-backend surface; no-ops on SimHeap so call sites stay branch-free.
+  /// Real backend: sets the app view's protection of `page`.  No-op on
+  /// SimHeap so call sites stay branch-free.
   virtual void set_access(std::int32_t /*page*/, PageAccess /*a*/) {}
-  virtual PageAccess access(std::int32_t /*page*/) const {
-    return PageAccess::kWrite;
-  }
-  /// Drains the write-fault trap list into `out` (fault order); returns the
-  /// count.  `out` must hold npages() entries.
-  virtual std::size_t take_write_faults(std::int32_t* /*out*/) { return 0; }
-  /// Pre-write image of `page` captured by the handler at its last trap.
-  /// Valid until the page traps again.
-  virtual const std::uint8_t* fault_twin(std::int32_t /*page*/) const {
-    return nullptr;
-  }
 
  protected:
   std::uint8_t* app_ = nullptr;
@@ -64,36 +52,25 @@ class ProcessHeap {
   std::size_t bytes_ = 0;
 };
 
-/// Simulator backend: one plain buffer, both views alias it.
+/// Simulator backend: one zeroed buffer, both views alias it.
 class SimHeap final : public ProcessHeap {
  public:
   explicit SimHeap(std::size_t bytes);
-
- private:
-  std::vector<std::uint8_t> buf_;
+  ~SimHeap() override;
 };
 
-/// Real backend: dual-mapped memfd pages + mprotect write barriers.
+/// Real backend: dual-mapped memfd pages, app view under mprotect.
 class RealHeap final : public ProcessHeap {
  public:
   explicit RealHeap(std::size_t bytes);
   ~RealHeap() override;
 
-  bool real() const override { return true; }
   void set_access(std::int32_t page, PageAccess a) override;
-  PageAccess access(std::int32_t page) const override {
-    return static_cast<PageAccess>(access_[static_cast<std::size_t>(page)]);
-  }
-  std::size_t take_write_faults(std::int32_t* out) override;
-  const std::uint8_t* fault_twin(std::int32_t page) const override {
-    return twins_.get() + static_cast<std::size_t>(page) * kPageBytes;
-  }
 
  private:
-  std::unique_ptr<std::uint8_t[]> access_;
-  std::unique_ptr<std::uint8_t[]> twins_;
-  std::unique_ptr<std::int32_t[]> trap_list_;
-  detail::HeapDesc desc_;
+  /// Current app-view protection per page, so unchanged pages cost no
+  /// syscall.
+  std::vector<PageAccess> access_;
 };
 
 }  // namespace anow::exec

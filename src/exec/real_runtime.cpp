@@ -3,23 +3,6 @@
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
 
-#if defined(__SANITIZE_ADDRESS__)
-#define ANOW_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ANOW_ASAN 1
-#endif
-#endif
-
-#ifdef ANOW_ASAN
-// ASan intercepts SIGSEGV for its own crash reporting, which would swallow
-// the write barrier.  Hand SIGSEGV back to user handlers; ASan keeps every
-// other check.
-extern "C" const char* __asan_default_options() {
-  return "allow_user_segv_handler=1:handle_segv=0";
-}
-#endif
-
 namespace anow::exec {
 
 namespace {
@@ -64,9 +47,8 @@ bool RealRuntime::drain_one(ProcId uid) {
     std::function<void()> fn;
     if (!ring(src, uid).try_pop(fn)) continue;
     p.rr_cursor = (src + 1) % nprocs_;
-    if (p.pre_handle) p.pre_handle();
     fn();
-    if (p.post_handle) p.post_handle();
+    if (p.after_delivery) p.after_delivery();
     return true;
   }
   return false;
@@ -142,11 +124,8 @@ sim::Fiber* RealRuntime::start_process(ProcId uid, const std::string& name,
   return nullptr;
 }
 
-void RealRuntime::set_delivery_hooks(ProcId uid, std::function<void()> pre,
-                                     std::function<void()> post) {
-  Proc& p = *procs_[static_cast<std::size_t>(uid)];
-  p.pre_handle = std::move(pre);
-  p.post_handle = std::move(post);
+void RealRuntime::set_delivery_hook(ProcId uid, std::function<void()> after) {
+  procs_[static_cast<std::size_t>(uid)]->after_delivery = std::move(after);
 }
 
 void RealRuntime::wake(ProcId dst) {

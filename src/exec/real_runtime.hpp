@@ -54,10 +54,9 @@ class RealRuntime final : public Runtime {
   void run(std::function<void()> master_body) override;
   bool in_context_of(ProcId uid) const override;
 
-  /// Hooks a DsmProcess attaches so the runtime can bracket every inbound
-  /// envelope with fault harvest (pre) and protection resync (post).
-  void set_delivery_hooks(ProcId uid, std::function<void()> pre,
-                          std::function<void()> post) override;
+  /// Hook a DsmProcess attaches so the runtime resyncs its protection after
+  /// every inbound envelope.
+  void set_delivery_hook(ProcId uid, std::function<void()> after) override;
 
   /// Drains at most one pending inbound closure for the calling process.
   /// Returns false if all rings were empty.  Exposed for poll points
@@ -68,8 +67,7 @@ class RealRuntime final : public Runtime {
   struct Proc {
     std::string name;
     std::function<void()> body;
-    std::function<void()> pre_handle;
-    std::function<void()> post_handle;
+    std::function<void()> after_delivery;
     std::thread thread;
     std::mutex mu;
     std::condition_variable cv;

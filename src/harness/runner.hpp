@@ -25,8 +25,8 @@ struct RunConfig {
   int nprocs = 8;
   /// Execution backend (--backend / ANOW_BACKEND; DESIGN.md §14).  kSim is
   /// the deterministic discrete-event simulator; kReal runs the same
-  /// protocol on pthreads with mmap page privatization and SIGSEGV write
-  /// barriers.  Real runs report wall-clock seconds and cannot trace,
+  /// protocol on pthreads with mmap page privatization and per-page
+  /// protection checks.  Real runs report wall-clock seconds and cannot trace,
   /// race-check, use adaptive placement, or take adaptation events.
   dsm::BackendKind backend = dsm::backend_from_env();
   /// false = the non-adaptive base TreadMarks (no hook installed at all).

@@ -1,16 +1,31 @@
 #include "util/options.hpp"
 
 #include <algorithm>
-
-#include "util/check.hpp"
+#include <cstdlib>
+#include <iostream>
 
 namespace anow::util {
 
+namespace {
+
+/// The one exit path for bad command-line input.
+[[noreturn]] void usage_error(const std::string& message) {
+  std::cerr << "error: " << message << "\n";
+  std::exit(2);
+}
+
+}  // namespace
+
 Options::Options(int argc, const char* const* argv) {
+  if (argc > 0) {
+    program_ = argv[0];
+    program_ = program_.substr(program_.find_last_of('/') + 1);
+  }
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    ANOW_CHECK_MSG(arg.rfind("--", 0) == 0,
-                   "expected --option, got '" << arg << "'");
+    if (arg.rfind("--", 0) != 0) {
+      usage_error("expected --option, got '" + arg + "'");
+    }
     arg = arg.substr(2);
     auto eq = arg.find('=');
     if (eq != std::string::npos) {
@@ -45,8 +60,8 @@ std::string Options::get_choice(const std::string& key,
     if (!choices.empty()) choices += ",";
     choices += a;
   }
-  ANOW_CHECK_MSG(false, "option --" << key << " expects one of {" << choices
-                                    << "}, got '" << value << "'");
+  usage_error("option --" + key + " expects one of {" + choices + "}, got '" +
+              value + "'");
 }
 
 std::int64_t Options::get_int(const std::string& key,
@@ -56,8 +71,8 @@ std::int64_t Options::get_int(const std::string& key,
   try {
     return std::stoll(it->second);
   } catch (const std::exception&) {
-    ANOW_CHECK_MSG(false, "option --" << key << " expects an integer, got '"
-                                      << it->second << "'");
+    usage_error("option --" + key + " expects an integer, got '" +
+                it->second + "'");
   }
 }
 
@@ -67,8 +82,8 @@ double Options::get_double(const std::string& key, double default_value) const {
   try {
     return std::stod(it->second);
   } catch (const std::exception&) {
-    ANOW_CHECK_MSG(false, "option --" << key << " expects a number, got '"
-                                      << it->second << "'");
+    usage_error("option --" + key + " expects a number, got '" + it->second +
+                "'");
   }
 }
 
@@ -78,15 +93,20 @@ bool Options::get_bool(const std::string& key, bool default_value) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  ANOW_CHECK_MSG(false, "option --" << key << " expects a boolean, got '" << v
-                                    << "'");
+  usage_error("option --" + key + " expects a boolean, got '" + v + "'");
 }
 
 void Options::allow_only(const std::vector<std::string>& keys) const {
+  if (has("help")) {
+    std::cout << "usage: " << program_ << " [options]\n";
+    for (const auto& key : keys) std::cout << "  --" << key << "\n";
+    std::exit(0);
+  }
   for (const auto& [key, value] : values_) {
     (void)value;
-    ANOW_CHECK_MSG(std::find(keys.begin(), keys.end(), key) != keys.end(),
-                   "unknown option --" << key);
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      usage_error("unknown option --" + key);
+    }
   }
 }
 

@@ -2,6 +2,9 @@
 //
 // Supports --key=value, --key value, and boolean --flag forms.  Unknown
 // options are an error so typos in sweeps don't silently run defaults.
+// Every rejection prints one "error: <message>" line and exits with status
+// 2, never an uncaught exception.  --help lists the flags the
+// program accepts (see allow_only) and exits 0.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +16,7 @@ namespace anow::util {
 
 class Options {
  public:
-  /// Parses argv; throws CheckError on malformed input.
+  /// Parses argv; exits with status 2 on malformed input.
   Options(int argc, const char* const* argv);
 
   bool has(const std::string& key) const;
@@ -21,7 +24,8 @@ class Options {
   std::string get_string(const std::string& key,
                          const std::string& default_value) const;
   /// get_string restricted to an allowed set (e.g. --engine {lrc,home});
-  /// throws with the valid choices listed when the value is not one of them.
+  /// a usage error listing the valid choices when the value is not one of
+  /// them.
   std::string get_choice(const std::string& key,
                          const std::vector<std::string>& allowed,
                          const std::string& default_value) const;
@@ -33,10 +37,12 @@ class Options {
   /// Keys seen on the command line (for validation by the caller).
   const std::map<std::string, std::string>& raw() const { return values_; }
 
-  /// Checks that every provided key is in the allowed set; throws otherwise.
+  /// Checks that every provided key is in the allowed set (a usage error
+  /// otherwise).  With --help, prints the allowed set and exits 0 instead.
   void allow_only(const std::vector<std::string>& keys) const;
 
  private:
+  std::string program_;
   std::map<std::string, std::string> values_;
 };
 

@@ -1,23 +1,28 @@
 // Execution-backend tests (DESIGN.md §14).
 //
-// Three layers of coverage:
+// Four layers of coverage:
 //  * unit tests for the real backend's building blocks (the SPSC ring and
-//    the mprotect/SIGSEGV write barrier around RealHeap);
+//    RealHeap's dual mapping);
 //  * differential tests: every Table 1 workload (+ hotspot) at test size,
 //    run under --backend sim and --backend real, must produce bit-identical
 //    checksums and agree on the deterministic protocol statistics;
+//  * the declaration contract: under --backend real a write to a page that
+//    was not declared with write_range dies on SIGSEGV;
 //  * error paths: everything that needs the virtual clock (tracing, race
 //    checking, adaptive placement, adaptation events) is rejected up front
 //    with a util::CheckError under --backend real.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "dsm/system.hpp"
 #include "exec/heap.hpp"
 #include "exec/spsc_queue.hpp"
 #include "harness/runner.hpp"
+#include "sim/cluster.hpp"
 #include "util/check.hpp"
 
 namespace anow {
@@ -62,7 +67,7 @@ TEST(SpscQueue, FifoAcrossThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// RealHeap write barrier
+// RealHeap dual mapping
 // ---------------------------------------------------------------------------
 
 TEST(RealHeap, ViewsAliasTheSamePages) {
@@ -70,37 +75,6 @@ TEST(RealHeap, ViewsAliasTheSamePages) {
   heap.prot_base()[10] = 0x5A;  // protocol view is always writable
   heap.set_access(0, exec::PageAccess::kRead);
   EXPECT_EQ(heap.app_base()[10], 0x5A);  // same physical page
-}
-
-TEST(RealHeap, WriteTrapCapturesPreWriteImageAndOpensPage) {
-  exec::RealHeap heap(4 * exec::kPageBytes);
-  std::uint8_t* page1_prot = heap.prot_base() + exec::kPageBytes;
-  std::memset(page1_prot, 0xAB, exec::kPageBytes);
-  heap.set_access(1, exec::PageAccess::kRead);
-
-  // First store to a read-protected page: the SIGSEGV handler snapshots the
-  // pre-write image into the twin arena, logs the trap, and opens the page.
-  heap.app_base()[exec::kPageBytes + 7] = 0xCD;
-
-  EXPECT_EQ(heap.access(1), exec::PageAccess::kWrite);
-  std::vector<std::int32_t> traps(static_cast<std::size_t>(heap.npages()));
-  ASSERT_EQ(heap.take_write_faults(traps.data()), 1u);
-  EXPECT_EQ(traps[0], 1);
-  EXPECT_EQ(heap.take_write_faults(traps.data()), 0u);  // list drained
-
-  const std::uint8_t* twin = heap.fault_twin(1);
-  EXPECT_EQ(twin[7], 0xAB);  // image from before the store
-  EXPECT_EQ(heap.app_base()[exec::kPageBytes + 7], 0xCD);
-  EXPECT_EQ(page1_prot[7], 0xCD);  // both views see the new byte
-}
-
-TEST(RealHeap, SecondWriteToOpenPageDoesNotTrap) {
-  exec::RealHeap heap(2 * exec::kPageBytes);
-  heap.set_access(0, exec::PageAccess::kRead);
-  heap.app_base()[0] = 1;  // traps
-  heap.app_base()[1] = 2;  // page already open: no trap
-  std::vector<std::int32_t> traps(2);
-  EXPECT_EQ(heap.take_write_faults(traps.data()), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -141,8 +115,33 @@ TEST_P(BackendDifferential, RealMatchesSim) {
   EXPECT_EQ(real.stats.counter("dsm.forks"), sim.stats.counter("dsm.forks"));
   EXPECT_EQ(real.stats.counter("dsm.gc_runs"),
             sim.stats.counter("dsm.gc_runs"));
+  // Both backends declare writes through the same write_range path, so
+  // they take the same write faults.
+  EXPECT_EQ(real.stats.counter("dsm.faults.write"),
+            sim.stats.counter("dsm.faults.write"));
   EXPECT_GT(real.messages, 0);
   EXPECT_GT(real.seconds, 0.0);  // wall clock advanced
+}
+
+TEST_P(BackendDifferential, OneProcessCountersMatchSim) {
+  // With one process there is no delivery interleaving to differ, so every
+  // dsm.* counter is backend-independent.
+  const auto [app, engine] = GetParam();
+  const harness::RunResult sim =
+      run_once(app, dsm::BackendKind::kSim, engine, /*nprocs=*/1);
+  const harness::RunResult real =
+      run_once(app, dsm::BackendKind::kReal, engine, /*nprocs=*/1);
+  EXPECT_EQ(real.checksum, sim.checksum) << app;
+  std::map<std::string, std::int64_t> names = sim.stats.counters;
+  names.insert(real.stats.counters.begin(), real.stats.counters.end());
+  int compared = 0;
+  for (const auto& [name, value] : names) {
+    (void)value;
+    if (name.rfind("dsm.", 0) != 0) continue;
+    EXPECT_EQ(real.stats.counter(name), sim.stats.counter(name)) << name;
+    ++compared;
+  }
+  EXPECT_GT(compared, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -166,6 +165,49 @@ TEST(BackendDifferential, SimIsDeterministic) {
   EXPECT_EQ(a.checksum, b.checksum);
   EXPECT_EQ(a.seconds, b.seconds);
   EXPECT_EQ(a.stats.counters, b.stats.counters);
+}
+
+// ---------------------------------------------------------------------------
+// Declaration contract under --backend real
+// ---------------------------------------------------------------------------
+
+/// Process 1 reads a shared word the master initialized, then stores to it:
+/// through write_range when `declare` is set, undeclared otherwise.
+std::int64_t store_after_read(bool declare) {
+  sim::Cluster cluster({}, 2);
+  dsm::DsmConfig cfg;
+  cfg.heap_bytes = 1 << 20;
+  cfg.backend = dsm::BackendKind::kReal;
+  dsm::DsmSystem sys(cluster, cfg);
+  dsm::GAddr addr = 0;
+  auto task = sys.register_task(
+      "store", [&](dsm::DsmProcess& p, const std::vector<std::uint8_t>&) {
+        if (p.pid() != 1) return;
+        p.read_range(addr, 8);
+        if (declare) p.write_range(addr, 8);
+        p.ptr<std::int64_t>(addr)[0] = p.cptr<std::int64_t>(addr)[0] + 1;
+      });
+  sys.start(2);
+  std::int64_t result = 0;
+  sys.run([&](dsm::DsmProcess& master) {
+    addr = sys.shared_malloc(8);
+    master.write_range(addr, 8);
+    master.ptr<std::int64_t>(addr)[0] = 41;
+    sys.run_parallel(task, {});
+    master.read_range(addr, 8);
+    result = master.cptr<std::int64_t>(addr)[0];
+  });
+  return result;
+}
+
+TEST(DeclarationContract, DeclaredWriteSucceeds) {
+  EXPECT_EQ(store_after_read(/*declare=*/true), 42);
+}
+
+TEST(DeclarationContract, UndeclaredWriteDies) {
+  // The real backend starts threads; re-exec the binary for the child.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(store_after_read(/*declare=*/false), "");
 }
 
 // ---------------------------------------------------------------------------

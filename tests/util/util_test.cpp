@@ -286,19 +286,30 @@ TEST(Options, DefaultsWhenAbsent) {
 
 TEST(Options, RejectsNonOption) {
   const char* argv[] = {"prog", "oops"};
-  EXPECT_THROW(Options(2, argv), CheckError);
+  EXPECT_EXIT(Options(2, argv), ::testing::ExitedWithCode(2),
+              "error: expected --option, got 'oops'");
 }
 
 TEST(Options, RejectsBadInteger) {
   const char* argv[] = {"prog", "--nodes=abc"};
   Options o(2, argv);
-  EXPECT_THROW(o.get_int("nodes", 0), CheckError);
+  EXPECT_EXIT(o.get_int("nodes", 0), ::testing::ExitedWithCode(2),
+              "error: option --nodes expects an integer, got 'abc'");
 }
 
 TEST(Options, AllowOnlyCatchesTypos) {
   const char* argv[] = {"prog", "--nodse=8"};
   Options o(2, argv);
-  EXPECT_THROW(o.allow_only({"nodes"}), CheckError);
+  EXPECT_EXIT(o.allow_only({"nodes"}), ::testing::ExitedWithCode(2),
+              "error: unknown option --nodse");
+}
+
+TEST(Options, HelpListsAcceptedFlagsAndExitsZero) {
+  const char* argv[] = {"/path/to/prog", "--help"};
+  Options o(2, argv);
+  // The flag list goes to stdout; the death-test matcher only sees stderr.
+  EXPECT_EXIT(o.allow_only({"nodes", "size"}), ::testing::ExitedWithCode(0),
+              "");
 }
 
 TEST(Arena, AllocationsAreAlignedDisjointAndWritable) {

@@ -20,12 +20,6 @@ the lint CI job:
    double-attribution, so the per-file count of such calls may not grow
    (the reviewed baseline cases charge fixed service costs deliberately).
 
-4. signal-handler-safety — src/exec/fault_handler.cpp runs in SIGSEGV
-   context (DESIGN.md §14) and must stay async-signal-safe: no
-   allocation, no locks, no stdio streams, no exceptions, no C++
-   containers.  Any token from the forbidden list appearing in that TU
-   fails the lint.
-
 Exit code 0 = clean, 1 = violation (message names the rule and the line).
 Run from anywhere: paths resolve relative to the repo root.
 """
@@ -64,32 +58,6 @@ STATS_LOOKUP_BASELINE = {
 COMPUTE_IN_SPAN_BASELINE = {
     "src/dsm/process.cpp": 10,
 }
-
-# --- rule 4: async-signal-safety of the SIGSEGV write barrier ------------
-# The handler TU may only do address arithmetic, word copies, mprotect, and
-# write(2).  Each entry is (token regex, what it would drag into signal
-# context).  ANOW_CHECK throws, so it is forbidden alongside plain throw.
-
-SIGNAL_HANDLER_FILE = "src/exec/fault_handler.cpp"
-
-SIGNAL_HANDLER_FORBIDDEN = [
-    (r"\bnew\b", "heap allocation"),
-    (r"\bmalloc\s*\(", "heap allocation"),
-    (r"\bcalloc\s*\(", "heap allocation"),
-    (r"\bfree\s*\(", "heap allocation"),
-    (r"\bprintf\s*\(", "stdio"),
-    (r"\bfprintf\s*\(", "stdio"),
-    (r"\bputs\s*\(", "stdio"),
-    (r"std::cout\b", "iostream locking + allocation"),
-    (r"std::cerr\b", "iostream locking + allocation"),
-    (r"std::mutex\b", "locking"),
-    (r"std::lock_guard\b", "locking"),
-    (r"std::unique_lock\b", "locking"),
-    (r"\bthrow\b", "exception unwinding"),
-    (r"\bANOW_CHECK", "exception unwinding (ANOW_CHECK throws)"),
-    (r"std::string\b", "heap allocation"),
-    (r"std::vector\b", "heap allocation"),
-]
 
 CODE_SUFFIXES = {".cpp", ".hpp"}
 SCAN_DIRS = ["src", "bench", "tests", "examples"]
@@ -201,28 +169,11 @@ def check_compute_in_span(violations):
             )
 
 
-def check_signal_handler_safety(violations):
-    path = REPO / SIGNAL_HANDLER_FILE
-    if not path.is_file():
-        return
-    rules = [(re.compile(pat), why) for pat, why in SIGNAL_HANDLER_FORBIDDEN]
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
-        line = strip_comments(raw)
-        for pat, why in rules:
-            if pat.search(line):
-                violations.append(
-                    f"{SIGNAL_HANDLER_FILE}:{lineno}: "
-                    f"[signal-handler-safety] '{pat.pattern}' ({why}) is not "
-                    "async-signal-safe — this TU runs in SIGSEGV context"
-                )
-
-
 def main() -> int:
     violations = []
     check_send_envelope(violations)
     check_stats_lookups(violations)
     check_compute_in_span(violations)
-    check_signal_handler_safety(violations)
     if violations:
         for v in violations:
             print(v)
