@@ -345,6 +345,32 @@ PrimitiveResult sim_event_loop_throughput() {
   return out;
 }
 
+/// Fiber switch throughput: 4 fibers pass one token round a ring of wait
+/// points, so every handoff is one resume + park round trip plus the one
+/// immediate event that carries the resume; reported as round trips per
+/// host second.
+PrimitiveResult fiber_switch_throughput() {
+  PrimitiveResult out;
+  constexpr int kFibers = 4;
+  constexpr int kRounds = 25000;
+  sim::Simulator sim;
+  std::vector<sim::WaitPoint> ring(kFibers);
+  for (int i = 0; i < kFibers; ++i) {
+    sim.spawn("ring" + std::to_string(i), [&sim, &ring, i] {
+      for (int r = 0; r < kRounds; ++r) {
+        sim.wait(ring[static_cast<std::size_t>(i)]);
+        sim.signal(ring[static_cast<std::size_t>((i + 1) % kFibers)]);
+      }
+    });
+  }
+  const auto t0 = Clock::now();
+  sim.signal(ring[0]);
+  sim.run();
+  out.seconds = seconds_since(t0);
+  out.ops = std::int64_t{kFibers} * kRounds;
+  return out;
+}
+
 /// Barrier-round throughput: 4 processes spinning on barriers (arrival,
 /// interval logging, release broadcast).
 PrimitiveResult barrier_round_throughput() {
@@ -428,6 +454,7 @@ std::map<std::string, double> run_primitives_and_write_json() {
   const auto [diff_make, diff_apply] = diff_throughput();
   const auto envelope = envelope_pack_unpack_throughput();
   const auto sim_loop = sim_event_loop_throughput();
+  const auto fiber_switch = fiber_switch_throughput();
   const auto page_fetch = page_fetch_throughput();
   const auto barrier = barrier_round_throughput();
   // Control-plane sweep: flat vs combining tree at fanout 4 and 8, small
@@ -474,6 +501,7 @@ std::map<std::string, double> run_primitives_and_write_json() {
   add("diff apply", diff_apply);
   add("envelope pack/unpack", envelope);
   add("sim event loop", sim_loop);
+  add("fiber switch", fiber_switch);
   add("page fetch", page_fetch);
   add("barrier round", barrier);
   for (const auto& point : tree_sweep) {
@@ -531,6 +559,7 @@ std::map<std::string, double> run_primitives_and_write_json() {
   emit("diff_apply", diff_apply);
   emit("envelope_pack_unpack", envelope);
   emit("sim_event_loop", sim_loop);
+  emit("fiber_switch", fiber_switch);
   emit("page_fetch", page_fetch);
   emit("barrier_round", barrier);
   for (const auto& point : tree_sweep) {

@@ -4,7 +4,6 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <cstring>
 
 #include "util/check.hpp"
@@ -31,16 +30,21 @@ ProcessHeap::~ProcessHeap() = default;
 
 SimHeap::SimHeap(std::size_t bytes) {
   ANOW_CHECK(bytes % kPageBytes == 0);
-  // calloc, not an explicit zero fill: memory fresh from the OS is already
-  // zero, so calloc leaves its pages untouched until the simulation uses
-  // them, where a fill would fault in every process's whole heap up front.
-  app_ = static_cast<std::uint8_t*>(std::calloc(bytes, 1));
-  ANOW_CHECK_MSG(app_ != nullptr, "sim heap allocation failed");
+  // An anonymous mapping, not calloc and not an explicit zero fill: its
+  // pages are zero by construction and are committed only when the
+  // simulation first touches them.  calloc gives that only while malloc
+  // hands back fresh memory; once the arena holds freed blocks (fiber
+  // bodies allocate on the same thread as the scheduler), calloc reuses
+  // dirty memory and must zero-fill every process's whole heap up front.
+  void* map = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ANOW_CHECK_MSG(map != MAP_FAILED, "sim heap mmap failed");
+  app_ = static_cast<std::uint8_t*>(map);
   prot_ = app_;
   bytes_ = bytes;
 }
 
-SimHeap::~SimHeap() { std::free(app_); }
+SimHeap::~SimHeap() { munmap(app_, bytes_); }
 
 RealHeap::RealHeap(std::size_t bytes) {
   ANOW_CHECK(bytes % kPageBytes == 0);

@@ -1,4 +1,4 @@
-// Cooperative fiber built on a dedicated std::thread.
+// Cooperative fiber: a user-space context on its own mmap'd stack.
 //
 // Exactly one fiber (or the scheduler) runs at any instant; the scheduler
 // hands control to a fiber with resume() and regains it when the fiber parks
@@ -7,20 +7,24 @@
 // while keeping the whole simulation logically single-threaded and therefore
 // deterministic.
 //
-// The handoff is a pair of binary semaphores (run_sem_ gates the fiber,
-// idle_sem_ gates the scheduler) instead of a mutex + condvar: one release
-// + one acquire per switch direction, no lock round trips, no spurious
-// wakeups to re-check predicates.  The strict alternation the semaphores
-// enforce is also what makes the plain bool flags safe: each side only
-// reads flags after acquiring the semaphore the other side released after
-// writing them.
+// The whole simulation runs on the caller's thread: a switch is one
+// swapcontext (register save/restore plus the signal-mask call), with no
+// kernel scheduling and no cross-thread publication.  Each stack is 8 MiB,
+// reserved with MAP_NORESERVE so only touched pages are committed, above a
+// PROT_NONE guard page — the same shape as a default pthread stack.
+//
+// Per-thread runtime state that a blocked body must keep as its own is
+// switched with the stack: the C++ caught-exception stack (so a fiber parked
+// inside a catch block still rethrows its own exception), and the ASan/TSan
+// notion of the current stack when those sanitizers are on.
 #pragma once
 
+#include <ucontext.h>
+
+#include <cstddef>
 #include <exception>
 #include <functional>
-#include <semaphore>
 #include <string>
-#include <thread>
 
 namespace anow::sim {
 
@@ -52,27 +56,47 @@ class Fiber {
   /// fiber's stack unwinds cleanly (RAII) instead of being abandoned.
   struct Killed {};
 
-  void thread_main();
+  /// The ABI layout of abi::__cxa_eh_globals (an incomplete type in
+  /// <cxxabi.h>): the caught-exception stack and the uncaught count.
+  struct EhGlobals {
+    void* caught = nullptr;
+    unsigned int uncaught = 0;
+  };
+
+  /// makecontext entry point; the Fiber* arrives split into two ints.
+  static void entry(unsigned int lo, unsigned int hi);
+  void fiber_main();
   /// Scheduler side: lets the fiber run; returns once it parks or finishes.
   void resume();
   /// Fiber side: yields control back to the scheduler; returns when resumed.
   void park();
-  /// Scheduler side: unblocks a parked fiber with Killed and joins it.
-  void kill_and_join();
+  /// Fiber side: the one switch from the fiber's stack back to the caller.
+  void switch_out(bool exiting);
+  /// Fiber side: bookkeeping on arrival on the fiber's stack.
+  void switched_in();
 
   Simulator& sim_;
   std::string name_;
   Body body_;
   std::string wait_tag_;
 
-  std::binary_semaphore run_sem_{0};   // released by scheduler: fiber runs
-  std::binary_semaphore idle_sem_{0};  // released by fiber: scheduler runs
   bool parked_ = true;  // fiber is parked (or not yet started)
+  bool started_ = false;
   bool killed_ = false;
   bool done_ = false;
   std::exception_ptr error_;
 
-  std::thread thread_;  // must be last: starts running in the constructor
+  void* map_ = nullptr;  // guard page + stack
+  ucontext_t ctx_{};     // the fiber's saved context
+  ucontext_t caller_{};  // whoever last resumed it
+  EhGlobals eh_;         // the fiber's exception state while switched out
+
+  // Sanitizer bookkeeping (unused unless built with ASan / TSan).
+  void* asan_fake_stack_ = nullptr;
+  const void* caller_stack_ = nullptr;
+  std::size_t caller_stack_bytes_ = 0;
+  void* tsan_fiber_ = nullptr;
+  void* tsan_caller_ = nullptr;
 };
 
 }  // namespace anow::sim
