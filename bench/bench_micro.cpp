@@ -705,10 +705,12 @@ std::pair<double, double> leave_cost(const std::string& app, apps::Size size,
 int main(int argc, char** argv) {
   using namespace anow;
   util::Options opts(argc, argv);
-  opts.allow_only({"size", "full", "app", "primitives-only", "engine",
+  dsm::Knobs knobs;
+  dsm::apply_knob_options(opts, knobs, {"engine"});
+  opts.allow_only({"size", "full", "app", "primitives-only",
                    "check-primitives", "tolerance"});
   const apps::Size size = bench::size_from_options(opts);
-  const dsm::EngineKind engine = bench::engine_from_options(opts);
+  const dsm::EngineKind engine = knobs.engine;
   const std::string app = opts.get_string("app", "jacobi");
   const bool check = opts.get_bool("check-primitives", false);
   // Host throughput is noisy across machines and CI runners; the gate only

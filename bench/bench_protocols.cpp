@@ -56,7 +56,6 @@
 // counts, strictly cut master inbound/barrier at >= 64 nodes, and cut it
 // >= 10x at 256 nodes.
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <string>
@@ -98,27 +97,26 @@ std::vector<std::string> split_list(const std::string& list) {
 int main(int argc, char** argv) {
   using namespace anow;
   util::Options opts(argc, argv);
+  // --topology/--fanout: control plane of the main ablation legs (DESIGN.md
+  // §12); the scaling sweep below runs flat vs tree explicitly regardless.
+  // --race-check: run every main leg under the LRC race detector (DESIGN.md
+  // §13).  Any reported race fails the leg; the dedicated race_check rerun
+  // below certifies DRF-ness regardless.
+  dsm::Knobs knobs;
+  dsm::apply_knob_options(opts, knobs, {"topology", "fanout", "race-check"});
   opts.allow_only({"size", "full", "nodes", "apps", "dir-shards",
-                   "check-batching", "trace", "topology", "fanout",
-                   "scale-nodes", "race-check"});
+                   "check-batching", "trace", "scale-nodes"});
   const apps::Size size = bench::size_from_options(opts);
   const int nodes = static_cast<int>(opts.get_int("nodes", 8));
   const bool check_batching = opts.get_bool("check-batching", false);
   const std::string trace_path =
       opts.get_string("trace", "BENCH_trace.json");
-  // Control-plane topology of the main ablation legs (DESIGN.md §12); the
-  // scaling sweep below runs flat vs tree explicitly regardless.
-  const dsm::TopologyKind topology = bench::topology_from_options(opts);
-  const int fanout = bench::fanout_from_options(opts);
-  // --race-check {off,page,word}: run every main leg under the LRC race
-  // detector (DESIGN.md §13).  Any reported race fails the leg; the
-  // dedicated race_check rerun below certifies DRF-ness regardless.
-  const dsm::RaceCheckMode race_check_opt =
-      bench::race_check_from_options(opts);
   // --scale-nodes: team sizes for the control-plane scaling sweep (flat vs
   // tree at fanout 8, Size::kTest, hotspot + jacobi).  "none" skips it.
-  const std::string scale_nodes_list =
-      opts.get_string("scale-nodes", "8,64,256");
+  const std::vector<int> scale_nodes =
+      opts.get_string("scale-nodes", "") == "none"
+          ? std::vector<int>{}
+          : opts.get_int_list("scale-nodes", {8, 64, 256}, 1);
 
   std::vector<std::string> apps = bench::table1_apps();
   apps.push_back("hotspot");  // the shifting-dominant-writer placement leg
@@ -127,10 +125,8 @@ int main(int argc, char** argv) {
     apps = split_list(opts.get_string("apps", ""));
   }
   // Directory shard sweep; the 1 leg is the unsharded baseline.
-  std::vector<int> shard_counts;
-  for (const auto& tok : split_list(opts.get_string("dir-shards", "1,4"))) {
-    shard_counts.push_back(std::atoi(tok.c_str()));
-  }
+  const std::vector<int> shard_counts =
+      opts.get_int_list("dir-shards", {1, 4}, 1);
 
   bench::print_header(
       "Protocol comparison — engine × dir-shards × piggyback × placement",
@@ -159,8 +155,8 @@ int main(int argc, char** argv) {
   json.field("schema_version", 8);
   json.field("size", apps::size_name(size));
   json.field("nodes", nodes);
-  json.field("topology", dsm::topology_kind_name(topology));
-  json.field("fanout", fanout);
+  json.field("topology", dsm::topology_kind_name(knobs.topology));
+  json.field("fanout", knobs.fanout);
   json.begin_object("workloads");
 
   bool ok = true;
@@ -211,8 +207,8 @@ int main(int argc, char** argv) {
           cfg.piggyback = mode;
           cfg.dir_shards = shards;
           cfg.placement = placement;
-          cfg.topology = topology;
-          cfg.fanout = fanout;
+          cfg.topology = knobs.topology;
+          cfg.fanout = knobs.fanout;
           cfg.adaptive = false;
           // Explicit per-leg tracing config (never the ambient ANOW_TRACE:
           // the untraced leg must really be untraced).
@@ -388,7 +384,7 @@ int main(int argc, char** argv) {
           ModeResult r = run_leg(dsm::piggyback_mode_name(mode), mode,
                                  dsm::PlacementMode::kStatic,
                                  /*attribution=*/true, std::string(),
-                                 race_check_opt);
+                                 knobs.race_check);
           if (!r.ok) continue;
           if (mode == dsm::PiggybackMode::kOff) base = r;
           if (mode == dsm::PiggybackMode::kRelease) release = r;
@@ -406,7 +402,7 @@ int main(int argc, char** argv) {
         const ModeResult adaptive =
             run_leg("adaptive", dsm::PiggybackMode::kRelease,
                     dsm::PlacementMode::kAdaptive,
-                    /*attribution=*/true, std::string(), race_check_opt);
+                    /*attribution=*/true, std::string(), knobs.race_check);
         if (adaptive.ok && release.ok) {
           const std::string leg =
               app + "/" + dsm::engine_kind_name(engine) + "/shards" +
@@ -563,12 +559,8 @@ int main(int argc, char** argv) {
   // The headline metric is master-inbound control messages per barrier:
   // O(N) flat, O(K) through the combining tree.
   // -------------------------------------------------------------------
-  if (!scale_nodes_list.empty() && scale_nodes_list != "none") {
+  if (!scale_nodes.empty()) {
     constexpr int kScaleFanout = 8;
-    std::vector<int> scale_nodes;
-    for (const auto& tok : split_list(scale_nodes_list)) {
-      scale_nodes.push_back(std::atoi(tok.c_str()));
-    }
     const std::vector<std::string> scale_apps = {"hotspot", "jacobi"};
 
     bench::print_header(

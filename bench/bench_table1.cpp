@@ -13,25 +13,23 @@
 int main(int argc, char** argv) {
   using namespace anow;
   util::Options opts(argc, argv);
-  opts.allow_only({"size", "full", "nodes", "engine", "piggyback",
-                   "dir-shards", "placement", "trace", "time-breakdown"});
+  harness::RunConfig base;
+  dsm::apply_knob_options(opts, base,
+                          {"engine", "piggyback", "dir-shards", "placement",
+                           "trace", "time-breakdown"});
+  opts.allow_only({"size", "full", "nodes"});
   const apps::Size size = bench::size_from_options(opts);
-  const dsm::EngineKind engine = bench::engine_from_options(opts);
-  const dsm::PiggybackMode piggyback = bench::piggyback_from_options(opts);
-  const int dir_shards = bench::dir_shards_from_options(opts);
-  const dsm::PlacementMode placement = bench::placement_from_options(opts);
-  const std::string trace_file = bench::trace_file_from_options(opts);
-  const bool time_breakdown = bench::time_breakdown_from_options(opts);
+  base.size = size;
 
   bench::print_header(
       "Table 1 — execution times and network traffic, no adapt events",
       std::string("Problem size preset: ") + apps::size_name(size) +
           " (use --full for the paper's sizes; paper numbers are for the "
           "paper sizes only); consistency engine: " +
-          dsm::engine_kind_name(engine) + ", piggyback: " +
-          dsm::piggyback_mode_name(piggyback) + ", dir-shards: " +
-          std::to_string(dir_shards) + ", placement: " +
-          dsm::placement_mode_name(placement));
+          dsm::engine_kind_name(base.engine) + ", piggyback: " +
+          dsm::piggyback_mode_name(base.piggyback) + ", dir-shards: " +
+          std::to_string(base.dir_shards) + ", placement: " +
+          dsm::placement_mode_name(base.placement));
 
   // Paper values for the --full configuration, for side-by-side comparison.
   struct PaperRow {
@@ -67,20 +65,14 @@ int main(int argc, char** argv) {
   for (const auto& app : t1_apps) {
     t.separator();
     for (int nodes : node_counts) {
-      harness::RunConfig cfg;
+      harness::RunConfig cfg = base;
       cfg.app = app;
-      cfg.size = size;
       cfg.nprocs = nodes;
-      cfg.engine = engine;
-      cfg.piggyback = piggyback;
-      cfg.dir_shards = dir_shards;
-      cfg.placement = placement;
-      cfg.time_attribution = time_breakdown;
       // --trace records the last standard-system run of the sweep (one
       // file, so one designated run).
-      const bool traced = !trace_file.empty() && app == t1_apps.back() &&
-                          nodes == node_counts.back();
-      cfg.trace_file = traced ? trace_file : std::string();
+      const bool traced = !base.trace_file.empty() &&
+                          app == t1_apps.back() && nodes == node_counts.back();
+      if (!traced) cfg.trace_file.clear();
 
       cfg.adaptive = false;
       auto std_run = harness::run_workload(cfg);
@@ -88,10 +80,10 @@ int main(int argc, char** argv) {
       cfg.trace_file.clear();  // the adaptive rerun is never traced
       auto adp_run = harness::run_workload(cfg);
       if (traced) {
-        std::cout << "wrote " << trace_file << " (" << app << ", "
+        std::cout << "wrote " << base.trace_file << " (" << app << ", "
                   << nodes << " nodes) — open at https://ui.perfetto.dev\n";
       }
-      if (time_breakdown && std_run.trace.has_value()) {
+      if (base.time_attribution && std_run.trace.has_value()) {
         std::cout << "\nTime breakdown — " << app << ", " << nodes
                   << " nodes (standard system):\n";
         obs::breakdown_table(*std_run.trace).print(std::cout);
@@ -129,14 +121,11 @@ int main(int argc, char** argv) {
                "nodes, paper sizes):\n";
   util::Table t2({"App", "Nodes", "Adaptation-point interval (s)"});
   for (const auto& app : bench::table1_apps()) {
-    harness::RunConfig cfg;
+    harness::RunConfig cfg = base;
     cfg.app = app;
-    cfg.size = size;
     cfg.nprocs = node_counts.front();
-    cfg.engine = engine;
-    cfg.piggyback = piggyback;
-    cfg.dir_shards = dir_shards;
-    cfg.placement = placement;
+    cfg.trace_file.clear();
+    cfg.time_attribution = false;
     auto run = harness::run_workload(cfg);
     t2.row().add(run.app).add(cfg.nprocs).add(run.adapt_point_interval_s, 3);
   }

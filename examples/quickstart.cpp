@@ -63,20 +63,13 @@ constexpr int kIters = 120;
 
 int main(int argc, char** argv) {
   util::Options opts(argc, argv);
-  opts.allow_only({"engine", "trace", "topology", "fanout"});
+  dsm::DsmConfig config;
+  dsm::apply_knob_options(opts, config,
+                          {"engine", "trace", "topology", "fanout"});
+  opts.allow_only({});
+  config.heap_bytes = 8 << 20;
   // A NOW with 4 workstations; one more becomes available later.
   sim::Cluster cluster({}, 5);
-  dsm::DsmConfig config;
-  config.heap_bytes = 8 << 20;
-  config.engine = dsm::parse_engine_kind(opts.get_choice(
-      "engine", {"lrc", "home"},
-      dsm::engine_kind_name(dsm::engine_kind_from_env())));
-  config.topology = dsm::parse_topology_kind(opts.get_choice(
-      "topology", {"flat", "tree"},
-      dsm::topology_kind_name(dsm::topology_kind_from_env())));
-  config.fanout = static_cast<int>(
-      opts.get_int("fanout", dsm::fanout_from_env()));
-  config.trace_file = opts.get_string("trace", dsm::trace_file_from_env());
   std::cout << "consistency engine: " << dsm::engine_kind_name(config.engine)
             << ", control plane: "
             << dsm::topology_kind_name(config.topology) << "\n";

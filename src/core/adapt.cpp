@@ -4,7 +4,6 @@
 
 #include "dsm/types.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace anow::core {
 
@@ -43,8 +42,6 @@ void AdaptiveRuntime::post_join(sim::Time at, sim::HostId host) {
       }
       const Uid uid = system_.spawn_process(host);
       pending_joins_.push_back({host, at, uid});
-      ANOW_LOG(kInfo, "adapt") << "join event: spawned uid " << uid
-                               << " on host " << host;
     });
   });
 }
@@ -55,8 +52,6 @@ void AdaptiveRuntime::post_leave(sim::Time at, sim::HostId host,
   const std::int64_t id = next_leave_id_++;
   sim.at(at, [this, id, at, host, grace] {
     pending_leaves_[id] = PendingLeave{host, at, at + grace, false, false};
-    ANOW_LOG(kInfo, "adapt") << "leave event for host " << host << ", grace "
-                             << sim::format_time(grace);
     // Arm the urgent-leave timer.
     system_.cluster().sim().after(grace, [this, id] {
       auto it = pending_leaves_.find(id);
@@ -112,10 +107,6 @@ void AdaptiveRuntime::migrate(PendingLeave& leave) {
     const sim::Time spawn = cluster.draw_spawn_cost();
     const std::int64_t image = proc.image_bytes();
     const sim::Time transfer = cluster.cost().migration_time(image);
-    ANOW_LOG(kInfo, "adapt") << "urgent leave: migrating uid " << uid
-                             << " host " << leave.host << " -> " << target
-                             << ", image "
-                             << image / (1024.0 * 1024.0) << " MB";
     // A new process is first created on the target host; computation
     // continues during that (§4.2).
     cluster.sim().sleep_for(spawn);
@@ -202,8 +193,6 @@ void AdaptiveRuntime::on_fork() {
     rec.migration_duration = leave.migration_duration;
     point_records.push_back(rec);
     stats.counter("adapt.leaves")++;
-    ANOW_LOG(kInfo, "adapt") << "normal leave of uid " << uid
-                             << (leave.migrated ? " (after migration)" : "");
   }
 
   for (auto& join : pending_joins_) {
@@ -217,7 +206,6 @@ void AdaptiveRuntime::on_fork() {
     rec.uid = join.uid;
     point_records.push_back(rec);
     stats.counter("adapt.joins")++;
-    ANOW_LOG(kInfo, "adapt") << "join of uid " << join.uid << " adopted";
   }
   pending_joins_.erase(
       std::remove_if(pending_joins_.begin(), pending_joins_.end(),

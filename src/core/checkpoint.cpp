@@ -4,7 +4,6 @@
 #include <fstream>
 
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace anow::core {
 
@@ -77,9 +76,6 @@ CheckpointImage Checkpointer::take(std::vector<std::uint8_t> app_state) {
   stats_.total_time += cluster.sim().now() - t0;
   system_.stats().counter("ckpt.taken")++;
   system_.stats().counter("ckpt.pages_collected") += fetched;
-  ANOW_LOG(kInfo, "ckpt") << "checkpoint at " << sim::format_time(img.taken_at)
-                          << ": " << fetched << " pages collected, "
-                          << bytes / (1024.0 * 1024.0) << " MB image";
   return img;
 }
 

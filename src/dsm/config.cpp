@@ -1,199 +1,215 @@
 #include "dsm/config.hpp"
 
+#include <algorithm>
+#include <climits>
 #include <cstdlib>
+#include <type_traits>
 
 #include "util/check.hpp"
+#include "util/options.hpp"
 
 namespace anow::dsm {
 
+const std::vector<KnobSpec>& knob_table() {
+  static const std::vector<KnobSpec> table = {
+      {"backend", "ANOW_BACKEND", &Knobs::backend, {"sim", "real"}, 0, "sim",
+       nullptr, "execution backend (DESIGN.md §14)"},
+      {"engine", "ANOW_ENGINE", &Knobs::engine, {"lrc", "home"}, 0, "lrc",
+       nullptr, "consistency engine (DESIGN.md §5, §5a)",
+       {{"home_lrc", "home"}}},
+      {"piggyback", "ANOW_PIGGYBACK", &Knobs::piggyback,
+       {"off", "release", "aggressive"}, 0, "release", nullptr,
+       "envelope coalescing policy (DESIGN.md §7)"},
+      {"dir-shards", "ANOW_DIR_SHARDS", &Knobs::dir_shards, {}, 1, "1",
+       nullptr, "owner-directory shards (DESIGN.md §8)"},
+      {"placement", "ANOW_PLACEMENT", &Knobs::placement,
+       {"static", "adaptive"}, 0, "static", "static",
+       "home migration and shard rebalancing (DESIGN.md §9)"},
+      {"topology", "ANOW_TOPOLOGY", &Knobs::topology, {"flat", "tree"}, 0,
+       "flat", nullptr, "control-plane topology (DESIGN.md §12)"},
+      {"fanout", "ANOW_FANOUT", &Knobs::fanout, {}, 1, "4", nullptr,
+       "tree fan-out under --topology tree (DESIGN.md §12)"},
+      {"race-check", "ANOW_RACE_CHECK", &Knobs::race_check,
+       {"off", "page", "word"}, 0, "off", "off",
+       "LRC data-race detection (DESIGN.md §13)"},
+      {"trace", "ANOW_TRACE", &Knobs::trace_file, {}, 0, "", "",
+       "Chrome trace-event JSON output file (DESIGN.md §11)"},
+      {"time-breakdown", nullptr, &Knobs::time_attribution, {"false", "true"},
+       0, "false", "false",
+       "per-process virtual-time attribution table (DESIGN.md §11)",
+       {{"0", "false"}, {"no", "false"}, {"off", "false"},
+        {"1", "true"}, {"yes", "true"}, {"on", "true"}}},
+  };
+  return table;
+}
+
+namespace {
+
+const KnobSpec& row_of(const KnobSpec::Field& field) {
+  for (const auto& spec : knob_table()) {
+    if (spec.field == field) return spec;
+  }
+  ANOW_CHECK_MSG(false, "no knob table row for this field");
+}
+
+const KnobSpec& row_of(const std::string& flag) {
+  for (const auto& spec : knob_table()) {
+    if (flag == spec.flag) return spec;
+  }
+  ANOW_CHECK_MSG(false, "no knob table row for --" << flag);
+}
+
+template <class T>
+const char* choice_name(T Knobs::*member, T value) {
+  return row_of(member).choices.at(static_cast<std::size_t>(value)).c_str();
+}
+
+/// "--engine/ANOW_ENGINE", or "--time-breakdown" for a CLI-only knob.
+std::string knob_label(const KnobSpec& spec) {
+  return std::string("--") + spec.flag +
+         (spec.env != nullptr ? std::string("/") + spec.env : "");
+}
+
+/// What set_knob accepts, for error and --help text.
+std::string expects(const KnobSpec& spec) {
+  if (std::holds_alternative<int Knobs::*>(spec.field)) {
+    return "an integer >= " + std::to_string(spec.min);
+  }
+  if (spec.choices.empty()) return "a file path";
+  std::string list;
+  for (const auto& c : spec.choices) list += (list.empty() ? "" : ",") + c;
+  return "one of {" + list + "}";
+}
+
+/// The --help text after "--flag": syntax, description, env var, default.
+std::string knob_help(const KnobSpec& spec) {
+  std::string help = expects(spec) + "\n      " + spec.help + "; ";
+  if (spec.env != nullptr) help += std::string("env ") + spec.env + ", ";
+  const std::string fallback = spec.fallback;
+  return help + "default " + (fallback.empty() ? "none" : fallback);
+}
+
+}  // namespace
+
+std::string set_knob(Knobs& knobs, const KnobSpec& spec, std::string text) {
+  return std::visit(
+      [&](auto Knobs::*member) -> std::string {
+        using T = std::remove_reference_t<decltype(knobs.*member)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          knobs.*member = text;
+          return "";
+        } else if constexpr (std::is_same_v<T, int>) {
+          std::int64_t n = 0;
+          if (util::parse_int(text, n) && n >= spec.min && n <= INT_MAX) {
+            knobs.*member = static_cast<int>(n);
+            return "";
+          }
+        } else {
+          for (const auto& [alias, canonical] : spec.aliases) {
+            if (text == alias) text = canonical;
+          }
+          const auto& c = spec.choices;
+          const auto it = std::find(c.begin(), c.end(), text);
+          if (it != c.end()) {
+            knobs.*member = static_cast<T>(it - c.begin());
+            return "";
+          }
+        }
+        return "expects " + expects(spec);
+      },
+      spec.field);
+}
+
+std::string knob_value(const Knobs& knobs, const KnobSpec& spec) {
+  return std::visit(
+      [&](auto Knobs::*member) -> std::string {
+        const auto& value = knobs.*member;
+        using T = std::remove_cvref_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          return value;
+        } else if constexpr (std::is_same_v<T, int>) {
+          return std::to_string(value);
+        } else {
+          return spec.choices.at(static_cast<std::size_t>(value));
+        }
+      },
+      spec.field);
+}
+
+Knobs::Knobs() : Knobs(env_knobs()) {}
+
+Knobs Knobs::builtin() {
+  Knobs knobs{Blank{}};
+  for (const auto& spec : knob_table()) set_knob(knobs, spec, spec.fallback);
+  return knobs;
+}
+
+Knobs read_env_knobs() {
+  Knobs knobs = Knobs::builtin();
+  for (const auto& spec : knob_table()) {
+    const char* env = spec.env != nullptr ? std::getenv(spec.env) : nullptr;
+    if (env == nullptr || *env == '\0') continue;
+    const std::string bad = set_knob(knobs, spec, env);
+    if (!bad.empty()) {
+      util::usage_error(std::string(spec.env) + "='" + env + "' " + bad);
+    }
+  }
+  return knobs;
+}
+
+const Knobs& env_knobs() {
+  static const Knobs knobs = read_env_knobs();
+  return knobs;
+}
+
+std::string knob_error(const Knobs& knobs) {
+  for (const auto& spec : knob_table()) {
+    const std::string value = knob_value(knobs, spec);
+    const auto* number = std::get_if<int Knobs::*>(&spec.field);
+    if (number != nullptr && knobs.**number < spec.min) {
+      return knob_label(spec) + "='" + value + "' expects " + expects(spec);
+    }
+    if (knobs.backend == BackendKind::kReal && spec.real_value != nullptr &&
+        value != spec.real_value) {
+      return knob_label(spec) + "='" + value + "' is simulator-only; it " +
+             "cannot run with " + knob_label(row_of(&Knobs::backend)) +
+             "='real'";
+    }
+  }
+  return "";
+}
+
+void apply_knob_options(util::Options& opts, Knobs& knobs,
+                        const std::vector<std::string>& flags) {
+  for (const auto& flag : flags) {
+    const KnobSpec& spec = row_of(flag);
+    opts.describe(flag, knob_help(spec));
+    if (!opts.has(flag)) continue;
+    const std::string text = opts.get_string(flag, "");
+    const std::string bad = set_knob(knobs, spec, text);
+    if (!bad.empty()) util::usage_error("--" + flag + "='" + text + "' " + bad);
+  }
+  const std::string bad = knob_error(knobs);
+  if (!bad.empty()) util::usage_error(bad);
+}
+
 const char* backend_kind_name(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kSim:
-      return "sim";
-    case BackendKind::kReal:
-      return "real";
-  }
-  return "?";
+  return choice_name(&Knobs::backend, kind);
 }
-
-BackendKind parse_backend_kind(const std::string& name) {
-  if (name == "sim") return BackendKind::kSim;
-  if (name == "real") return BackendKind::kReal;
-  ANOW_CHECK_MSG(false, "unknown backend '" << name << "' (want sim|real)");
-}
-
-BackendKind backend_from_env() {
-  static const BackendKind kind = [] {
-    const char* env = std::getenv("ANOW_BACKEND");
-    return env != nullptr && *env != '\0' ? parse_backend_kind(env)
-                                          : BackendKind::kSim;
-  }();
-  return kind;
-}
-
 const char* engine_kind_name(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kLrc:
-      return "lrc";
-    case EngineKind::kHomeLrc:
-      return "home";
-  }
-  return "?";
+  return choice_name(&Knobs::engine, kind);
 }
-
-EngineKind parse_engine_kind(const std::string& name) {
-  if (name == "lrc") return EngineKind::kLrc;
-  if (name == "home" || name == "home_lrc") return EngineKind::kHomeLrc;
-  ANOW_CHECK_MSG(false, "unknown engine '" << name << "' (want lrc|home)");
-}
-
 const char* piggyback_mode_name(PiggybackMode mode) {
-  switch (mode) {
-    case PiggybackMode::kOff:
-      return "off";
-    case PiggybackMode::kRelease:
-      return "release";
-    case PiggybackMode::kAggressive:
-      return "aggressive";
-  }
-  return "?";
+  return choice_name(&Knobs::piggyback, mode);
 }
-
-PiggybackMode parse_piggyback_mode(const std::string& name) {
-  if (name == "off") return PiggybackMode::kOff;
-  if (name == "release") return PiggybackMode::kRelease;
-  if (name == "aggressive") return PiggybackMode::kAggressive;
-  ANOW_CHECK_MSG(false, "unknown piggyback mode '"
-                            << name << "' (want off|release|aggressive)");
-}
-
-PiggybackMode piggyback_mode_from_env() {
-  static const PiggybackMode mode = [] {
-    const char* env = std::getenv("ANOW_PIGGYBACK");
-    return env != nullptr && *env != '\0' ? parse_piggyback_mode(env)
-                                          : PiggybackMode::kRelease;
-  }();
-  return mode;
-}
-
-int dir_shards_from_env() {
-  static const int shards = [] {
-    const char* env = std::getenv("ANOW_DIR_SHARDS");
-    if (env == nullptr || *env == '\0') return 1;
-    const int n = std::atoi(env);
-    ANOW_CHECK_MSG(n >= 1, "ANOW_DIR_SHARDS must be >= 1, got '" << env
-                                                                 << "'");
-    return n;
-  }();
-  return shards;
-}
-
 const char* placement_mode_name(PlacementMode mode) {
-  switch (mode) {
-    case PlacementMode::kStatic:
-      return "static";
-    case PlacementMode::kAdaptive:
-      return "adaptive";
-  }
-  return "?";
+  return choice_name(&Knobs::placement, mode);
 }
-
-PlacementMode parse_placement_mode(const std::string& name) {
-  if (name == "static") return PlacementMode::kStatic;
-  if (name == "adaptive") return PlacementMode::kAdaptive;
-  ANOW_CHECK_MSG(false, "unknown placement mode '"
-                            << name << "' (want static|adaptive)");
-}
-
-PlacementMode placement_mode_from_env() {
-  static const PlacementMode mode = [] {
-    const char* env = std::getenv("ANOW_PLACEMENT");
-    return env != nullptr && *env != '\0' ? parse_placement_mode(env)
-                                          : PlacementMode::kStatic;
-  }();
-  return mode;
-}
-
 const char* topology_kind_name(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::kFlat:
-      return "flat";
-    case TopologyKind::kTree:
-      return "tree";
-  }
-  return "?";
+  return choice_name(&Knobs::topology, kind);
 }
-
-TopologyKind parse_topology_kind(const std::string& name) {
-  if (name == "flat") return TopologyKind::kFlat;
-  if (name == "tree") return TopologyKind::kTree;
-  ANOW_CHECK_MSG(false, "unknown topology '" << name << "' (want flat|tree)");
-}
-
-TopologyKind topology_kind_from_env() {
-  static const TopologyKind kind = [] {
-    const char* env = std::getenv("ANOW_TOPOLOGY");
-    return env != nullptr && *env != '\0' ? parse_topology_kind(env)
-                                          : TopologyKind::kFlat;
-  }();
-  return kind;
-}
-
-int fanout_from_env() {
-  static const int fanout = [] {
-    const char* env = std::getenv("ANOW_FANOUT");
-    if (env == nullptr || *env == '\0') return 4;
-    const int n = std::atoi(env);
-    ANOW_CHECK_MSG(n >= 1, "ANOW_FANOUT must be >= 1, got '" << env << "'");
-    return n;
-  }();
-  return fanout;
-}
-
 const char* race_check_mode_name(RaceCheckMode mode) {
-  switch (mode) {
-    case RaceCheckMode::kOff:
-      return "off";
-    case RaceCheckMode::kPage:
-      return "page";
-    case RaceCheckMode::kWord:
-      return "word";
-  }
-  return "?";
-}
-
-RaceCheckMode parse_race_check_mode(const std::string& name) {
-  if (name == "off") return RaceCheckMode::kOff;
-  if (name == "page") return RaceCheckMode::kPage;
-  if (name == "word") return RaceCheckMode::kWord;
-  ANOW_CHECK_MSG(false, "unknown race-check mode '"
-                            << name << "' (want off|page|word)");
-}
-
-RaceCheckMode race_check_from_env() {
-  static const RaceCheckMode mode = [] {
-    const char* env = std::getenv("ANOW_RACE_CHECK");
-    return env != nullptr && *env != '\0' ? parse_race_check_mode(env)
-                                          : RaceCheckMode::kOff;
-  }();
-  return mode;
-}
-
-std::string trace_file_from_env() {
-  static const std::string path = [] {
-    const char* env = std::getenv("ANOW_TRACE");
-    return std::string(env != nullptr ? env : "");
-  }();
-  return path;
-}
-
-EngineKind engine_kind_from_env() {
-  static const EngineKind kind = [] {
-    const char* env = std::getenv("ANOW_ENGINE");
-    return env != nullptr && *env != '\0' ? parse_engine_kind(env)
-                                          : EngineKind::kLrc;
-  }();
-  return kind;
+  return choice_name(&Knobs::race_check, mode);
 }
 
 }  // namespace anow::dsm

@@ -3,9 +3,15 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "dsm/types.hpp"
+
+namespace anow::util {
+class Options;
+}
 
 namespace anow::dsm {
 
@@ -32,20 +38,8 @@ enum class BackendKind : std::uint8_t {
 };
 
 const char* backend_kind_name(BackendKind kind);
-/// Parses "sim" / "real"; throws on anything else.
-BackendKind parse_backend_kind(const std::string& name);
-/// Default backend: ANOW_BACKEND environment variable ("sim" / "real"),
-/// falling back to kSim.  Lets CI run the whole test suite on real threads
-/// without touching every DsmConfig construction site.
-BackendKind backend_from_env();
 
 const char* engine_kind_name(EngineKind kind);
-/// Parses "lrc" / "home" (also accepts "home_lrc"); throws on anything else.
-EngineKind parse_engine_kind(const std::string& name);
-/// Default engine: ANOW_ENGINE environment variable ("lrc" / "home"),
-/// falling back to kLrc.  Lets CI run the whole test suite under either
-/// engine without touching every DsmConfig construction site.
-EngineKind engine_kind_from_env();
 
 /// How aggressively the transport coalesces segments into shared envelopes
 /// (DESIGN.md §7).  One mechanism — Channel staging — with three policies:
@@ -64,19 +58,6 @@ enum class PiggybackMode : std::uint8_t {
 };
 
 const char* piggyback_mode_name(PiggybackMode mode);
-/// Parses "off" / "release" / "aggressive"; throws on anything else.
-PiggybackMode parse_piggyback_mode(const std::string& name);
-/// Default mode: ANOW_PIGGYBACK environment variable, falling back to
-/// kRelease.  Lets CI run the whole test suite under any mode without
-/// touching every DsmConfig construction site.
-PiggybackMode piggyback_mode_from_env();
-
-/// Default owner-directory shard count: ANOW_DIR_SHARDS environment
-/// variable, falling back to 1 (the unsharded master-held directory, which
-/// is byte-identical to the pre-sharding protocol).  Lets CI run the whole
-/// suite with a sharded directory without touching every DsmConfig
-/// construction site.  Values > nprocs are clamped at DsmSystem::start().
-int dir_shards_from_env();
 
 /// Adaptive placement (DESIGN.md §9): whether the runtime monitors access
 /// traffic and migrates page homes / directory shards at GC rounds.
@@ -94,12 +75,6 @@ enum class PlacementMode : std::uint8_t {
 };
 
 const char* placement_mode_name(PlacementMode mode);
-/// Parses "static" / "adaptive"; throws on anything else.
-PlacementMode parse_placement_mode(const std::string& name);
-/// Default mode: ANOW_PLACEMENT environment variable, falling back to
-/// static.  Lets CI run the whole test suite under adaptive placement
-/// without touching every DsmConfig construction site.
-PlacementMode placement_mode_from_env();
 
 /// Hierarchical control plane (DESIGN.md §12): how collectives (barrier
 /// arrive/release, fork, GC prepare/ack, owner-delta broadcast, terminate)
@@ -116,21 +91,6 @@ enum class TopologyKind : std::uint8_t {
 };
 
 const char* topology_kind_name(TopologyKind kind);
-/// Parses "flat" / "tree"; throws on anything else.
-TopologyKind parse_topology_kind(const std::string& name);
-/// Default topology: ANOW_TOPOLOGY environment variable ("flat" / "tree"),
-/// falling back to flat.  Lets CI run the whole test suite under the tree
-/// control plane without touching every DsmConfig construction site.
-TopologyKind topology_kind_from_env();
-
-/// Default tree fanout K: ANOW_FANOUT environment variable, falling back
-/// to 4.  Only meaningful under TopologyKind::kTree.
-int fanout_from_env();
-
-/// Default trace output path: the ANOW_TRACE environment variable, else ""
-/// (tracing off).  Non-empty enables full event recording (DESIGN.md §11)
-/// and a Chrome trace-event JSON dump at the end of the run.
-std::string trace_file_from_env();
 
 /// LRC data-race detection (DESIGN.md §13).  The detector is a pure
 /// observer riding the interval/vector-timestamp machinery: it never sends
@@ -149,12 +109,6 @@ enum class RaceCheckMode : std::uint8_t {
 };
 
 const char* race_check_mode_name(RaceCheckMode mode);
-/// Parses "off" / "page" / "word"; throws on anything else.
-RaceCheckMode parse_race_check_mode(const std::string& name);
-/// Default mode: ANOW_RACE_CHECK environment variable, falling back to off.
-/// Lets CI certify the whole test suite DRF without touching every
-/// DsmConfig construction site.
-RaceCheckMode race_check_from_env();
 
 /// How pids are reassigned when processes leave (paper §5.4 lists "the
 /// process id reassignment algorithm" among the cost factors; Figure 3 shows
@@ -170,23 +124,29 @@ enum class PidStrategy : std::uint8_t {
   kSwapLast,
 };
 
-struct DsmConfig {
-  /// Size of the global shared region; fixed for the lifetime of the system
-  /// (TreadMarks pre-maps the shared heap).
-  std::int64_t heap_bytes = 16ll << 20;
+/// The run-time knobs (DESIGN.md §15): the configuration a user can set
+/// from the command line or the environment without touching the program.
+/// DsmConfig and harness::RunConfig both inherit them, so the harness hands
+/// a run's knobs to the DSM in one assignment.  Each field's flag, env var,
+/// choices, default and backend limits live in one row of knob_table(); a
+/// default-constructed Knobs holds the env defaults.
+struct Knobs {
+  /// The env defaults: env_knobs().
+  Knobs();
+  /// The table's defaults, ignoring the environment.
+  static Knobs builtin();
 
-  /// Execution backend (DESIGN.md §14): the simulator (default) or real
-  /// pthreads + mprotect'd heaps.  Defaults to ANOW_BACKEND, else
-  /// sim.  Under kReal, tracing, race checking, adaptation events and
-  /// adaptive placement are rejected at start (they ride simulator-only
-  /// machinery).
-  BackendKind backend = backend_from_env();
+  /// Execution backend (DESIGN.md §14): the simulator or real pthreads +
+  /// mprotect'd heaps.  Under kReal the simulator-only values of the other
+  /// knobs (tracing, time attribution, race checking, adaptive placement)
+  /// are rejected by knob_error().
+  BackendKind backend{};
 
-  /// Consistency protocol variant (defaults to ANOW_ENGINE, else LRC).
-  EngineKind engine = engine_kind_from_env();
+  /// Consistency protocol variant.
+  EngineKind engine{};
 
-  /// Envelope coalescing policy (defaults to ANOW_PIGGYBACK, else release).
-  PiggybackMode piggyback = piggyback_mode_from_env();
+  /// Envelope coalescing policy.
+  PiggybackMode piggyback{};
 
   /// Owner-directory shards (DESIGN.md §8): the page->owner map is split
   /// into this many contiguous page ranges, each held authoritatively by
@@ -194,18 +154,112 @@ struct DsmConfig {
   /// also seeded with the initial valid copy of its range.  1 keeps the
   /// whole directory at the master — byte-identical to the unsharded
   /// protocol.  Clamped to nprocs at start().
-  int dir_shards = dir_shards_from_env();
+  int dir_shards = 0;
 
   /// Adaptive placement (DESIGN.md §9): monitor traffic and migrate page
-  /// homes / directory shards at GC rounds.  Static (the default) is
-  /// byte-identical to the pre-placement protocol.
-  PlacementMode placement = placement_mode_from_env();
+  /// homes / directory shards at GC rounds.  Static is byte-identical to
+  /// the pre-placement protocol.
+  PlacementMode placement{};
+
+  /// Control-plane topology (DESIGN.md §12): flat master-centric fan-out
+  /// (byte-identical to the pre-topology protocol) or a K-ary
+  /// combining/multicast tree over the live team.
+  TopologyKind topology{};
+
+  /// Tree fanout K; ignored under kFlat.  The tree is recomputed on every
+  /// join/leave and degenerates to flat routing whenever
+  /// fanout >= team size - 1.
+  int fanout = 0;
+
+  /// LRC data-race detection (DESIGN.md §13): off (no detector
+  /// constructed) or page/word-granularity happens-before checking.  Any
+  /// setting is byte-identical on the wire; reports surface as obs.race.*
+  /// stats and a "races" section of the trace JSON.
+  RaceCheckMode race_check{};
+
+  /// When non-empty, DsmSystem enables the cluster's TraceRecorder in full
+  /// event-recording mode and writes a Chrome trace-event JSON file here
+  /// after run() (DESIGN.md §11).
+  std::string trace_file;
+
+  /// Record the per-bucket virtual-time attribution report (span
+  /// bookkeeping only, no event ring) even without a trace file.
+  bool time_attribution = false;
+
+  /// Not a table row: set by programs, never by users.
+  PidStrategy pid_strategy = PidStrategy::kShift;
+
+ private:
+  struct Blank {};
+  explicit Knobs(Blank /*unused*/) {}
+};
+
+/// One row of the knob table.
+struct KnobSpec {
+  using Field =
+      std::variant<BackendKind Knobs::*, EngineKind Knobs::*,
+                   PiggybackMode Knobs::*, PlacementMode Knobs::*,
+                   TopologyKind Knobs::*, RaceCheckMode Knobs::*,
+                   int Knobs::*, bool Knobs::*, std::string Knobs::*>;
+
+  /// Command-line flag, without the leading "--".
+  const char* flag;
+  /// Environment variable, or nullptr for a command-line-only knob.
+  const char* env;
+  Field field;
+  /// Enum and bool knobs: the names, in enumerator order.  Empty for
+  /// integer and string knobs.
+  std::vector<std::string> choices;
+  /// Integer knobs: the smallest accepted value.
+  int min;
+  /// Value used when neither the flag nor the env var is given.
+  const char* fallback;
+  /// The only value the real backend accepts; nullptr when every value
+  /// runs on both backends.
+  const char* real_value;
+  /// One-line description for --help.
+  const char* help;
+  /// Extra accepted spellings: {alias, canonical choice}.
+  std::vector<std::pair<std::string, std::string>> aliases = {};
+};
+
+/// Every knob, one row each, in --help order.
+const std::vector<KnobSpec>& knob_table();
+
+/// Sets `spec`'s field from `text`.  Returns "" on success, else what the
+/// knob expects ("expects one of {lrc,home}"), for the caller to prefix
+/// with where the text came from.
+std::string set_knob(Knobs& knobs, const KnobSpec& spec, std::string text);
+
+/// The field's current value as text ("home", "4", "t.json").
+std::string knob_value(const Knobs& knobs, const KnobSpec& spec);
+
+/// Reads every row's env var now; a bad value is a usage error (exit 2).
+Knobs read_env_knobs();
+/// read_env_knobs(), read once per process and cached.
+const Knobs& env_knobs();
+
+/// "" when the knobs can run together, else one line naming the offending
+/// knob(s): an integer below its minimum, or a simulator-only value under
+/// the real backend.
+std::string knob_error(const Knobs& knobs);
+
+/// Sets `knobs` from the given flags on the command line, adds each flag's
+/// --help line (choices, env var, default) to `opts`, and exits 2 with one
+/// "error:" line on a bad value or a combination knob_error() rejects.
+/// Call before opts.allow_only(), which then accepts these flags too.
+void apply_knob_options(util::Options& opts, Knobs& knobs,
+                        const std::vector<std::string>& flags);
+
+struct DsmConfig : Knobs {
+  /// Size of the global shared region; fixed for the lifetime of the system
+  /// (TreadMarks pre-maps the shared heap).
+  std::int64_t heap_bytes = 16ll << 20;
 
   /// Placement hysteresis: a page re-homes only after the same sole writer
   /// dominated it for this many consecutive monitoring windows (barrier
-  /// epochs), with at least placement_min_writes write records per window.
+  /// epochs), with at least one write record per window.
   int placement_hysteresis = 2;
-  int placement_min_writes = 1;
   /// A directory shard moves off its holder only when the holder's inbound
   /// owner-lookup load exceeded placement_overload_factor times the
   /// team-wide mean — and at least placement_min_lookups segments — for
@@ -213,41 +267,16 @@ struct DsmConfig {
   double placement_overload_factor = 2.0;
   std::int64_t placement_min_lookups = 128;
 
-  /// Control-plane topology (DESIGN.md §12): flat master-centric fan-out
-  /// (the default, byte-identical to the pre-topology protocol) or a K-ary
-  /// combining/multicast tree over the live team.
-  TopologyKind topology = topology_kind_from_env();
-
-  /// Tree fanout K (>= 1); ignored under kFlat.  The tree is recomputed on
-  /// every join/leave and degenerates to flat routing whenever
-  /// fanout >= team size - 1.
-  int fanout = fanout_from_env();
-
   /// Protocol for pages not covered by a protocol_override.
   Protocol default_protocol = Protocol::kMultiWriter;
 
   /// Run a garbage collection at the next barrier once any process's
   /// consistency data (twins + diffs + notices) exceeds this.
   std::int64_t gc_threshold_bytes = 8ll << 20;
-  bool auto_gc = true;
 
   /// Size of the non-shared part of a process image (code, private heap,
   /// stack); enters migration and checkpoint costs.
   std::int64_t private_image_bytes = 4ll << 20;
-
-  PidStrategy pid_strategy = PidStrategy::kShift;
-
-  /// When non-empty, DsmSystem enables the cluster's TraceRecorder in full
-  /// event-recording mode and writes a Chrome trace-event JSON file here
-  /// after run() (DESIGN.md §11).  Defaults to ANOW_TRACE, else off.
-  std::string trace_file = trace_file_from_env();
-
-  /// LRC data-race detection (DESIGN.md §13): off (the default, no detector
-  /// constructed) or page/word-granularity happens-before checking.  Any
-  /// setting is byte-identical on the wire; reports surface as obs.race.*
-  /// stats and a "races" section of the trace JSON.  Defaults to
-  /// ANOW_RACE_CHECK, else off.
-  RaceCheckMode race_check = race_check_from_env();
 };
 
 }  // namespace anow::dsm

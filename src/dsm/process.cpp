@@ -8,7 +8,6 @@
 #include "dsm/system.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace anow::dsm {
 

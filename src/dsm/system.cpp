@@ -7,7 +7,6 @@
 #include "exec/sim_runtime.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace anow::dsm {
 
@@ -17,20 +16,14 @@ DsmSystem::DsmSystem(sim::Cluster& cluster, DsmConfig config)
   ANOW_CHECK_MSG(config_.heap_bytes % static_cast<std::int64_t>(kPageSize) ==
                      0,
                  "heap_bytes must be page aligned");
+  // Simulator-only knob values are rejected up front rather than silently
+  // producing wrong numbers: the tracer and race detector timestamp with
+  // virtual time, and adaptive placement taps send_envelope from many
+  // threads (DESIGN.md §14).  A recorder the caller enabled on the cluster
+  // directly is the same virtual-time machinery.
+  const std::string bad_knobs = knob_error(config_);
+  ANOW_CHECK_MSG(bad_knobs.empty(), bad_knobs);
   if (config_.backend == BackendKind::kReal) {
-    // Simulator-only machinery is rejected up front rather than silently
-    // producing wrong numbers: the tracer and race detector timestamp with
-    // virtual time, and adaptive placement taps send_envelope from many
-    // threads (DESIGN.md §14).
-    ANOW_CHECK_MSG(config_.trace_file.empty(),
-                   "--trace requires the simulator clock; rerun with "
-                   "--backend sim");
-    ANOW_CHECK_MSG(config_.race_check == RaceCheckMode::kOff,
-                   "--race-check rides the simulator's interval machinery; "
-                   "rerun with --backend sim");
-    ANOW_CHECK_MSG(config_.placement == PlacementMode::kStatic,
-                   "--placement adaptive is not supported under "
-                   "--backend real");
     ANOW_CHECK_MSG(cluster_.trace() == nullptr,
                    "tracing is not supported under --backend real");
   } else {
@@ -54,12 +47,13 @@ DsmSystem::DsmSystem(sim::Cluster& cluster, DsmConfig config)
   ctr_ctrl_master_in_ = stats.handle("dsm.ctrl.master_inbound");
   ctr_ctrl_master_out_ = stats.handle("dsm.ctrl.master_outbound");
   // Tracing (DESIGN.md §11): a --trace/ANOW_TRACE path requests full event
-  // recording; otherwise the recorder (if any) was enabled by the harness.
-  // Either way processes cache the pointer at construction, so the recorder
-  // must exist before start().
-  if (!config_.trace_file.empty() && cluster_.trace() == nullptr) {
+  // recording, --time-breakdown only the attribution spans; a recorder the
+  // caller already enabled wins.  Processes cache the pointer at
+  // construction, so the recorder must exist before start().
+  if ((!config_.trace_file.empty() || config_.time_attribution) &&
+      cluster_.trace() == nullptr) {
     obs::TraceOptions topts;
-    topts.record_events = true;
+    topts.record_events = !config_.trace_file.empty();
     cluster_.enable_trace(topts);
   }
   tracer_ = cluster_.trace();
@@ -170,8 +164,7 @@ void DsmSystem::start(int nprocs) {
   ANOW_CHECK_MSG(!started_, "start() called twice");
   ANOW_CHECK(nprocs >= 1);
   started_ = true;
-  const int shards =
-      std::min(std::max(config_.dir_shards, 1), nprocs);
+  const int shards = std::min(config_.dir_shards, nprocs);
   shard_map_ = protocol::ShardMap(num_pages(), shards);
   engine_->configure_directory(shard_map_);
   if (placement_adaptive_) policy_.configure(shard_map_);
@@ -733,8 +726,7 @@ void DsmSystem::placement_note_interval(const Interval& interval) {
 }
 
 void DsmSystem::evaluate_placement() {
-  monitor_.end_window(static_cast<std::uint32_t>(
-      std::max(1, config_.placement_min_writes)));
+  monitor_.end_window(/*min_writes=*/1);
   if (planner_.has_work()) return;  // a round is already armed
   auto decision =
       policy_.decide(monitor_, engine_->dir(), team_,
@@ -1137,7 +1129,7 @@ sim::HostId DsmSystem::host_of(Uid uid) const {
 }
 
 void DsmSystem::rebuild_topology() {
-  topology_.rebuild(team_, config_.topology, std::max(1, config_.fanout));
+  topology_.rebuild(team_, config_.topology, config_.fanout);
 }
 
 void DsmSystem::fan_out_instructions(

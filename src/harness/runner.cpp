@@ -20,41 +20,21 @@ RunResult run_workload(const RunConfig& config) {
 
 RunResult run_workload(const RunConfig& config,
                        std::unique_ptr<apps::Workload> workload) {
-  const bool real = config.backend == dsm::BackendKind::kReal;
-  if (real) {
-    ANOW_CHECK_MSG(!config.time_attribution,
-                   "--backend real has no virtual clock; time attribution "
-                   "requires --backend sim");
-    ANOW_CHECK_MSG(config.events.empty(),
-                   "adaptation events (join/leave/migrate) require "
-                   "--backend sim");
-  }
+  const bool adaptive =
+      config.adaptive && config.backend == dsm::BackendKind::kSim;
+  ANOW_CHECK_MSG(adaptive || config.events.empty(),
+                 "adaptation events (join/leave/migrate) need the adaptive "
+                 "runtime on --backend sim");
   sim::Cluster cluster(config.cost, config.nprocs + config.spare_hosts,
                        config.seed);
-  // The recorder must exist before the DsmSystem (and its processes, which
-  // cache the pointer) is constructed.
-  if (!config.trace_file.empty() || config.time_attribution) {
-    obs::TraceOptions topts;
-    topts.record_events = !config.trace_file.empty();
-    cluster.enable_trace(topts);
-  }
   dsm::DsmConfig dsm_cfg = workload->dsm_config();
-  dsm_cfg.backend = config.backend;
-  dsm_cfg.engine = config.engine;
-  dsm_cfg.piggyback = config.piggyback;
-  dsm_cfg.dir_shards = config.dir_shards;
-  dsm_cfg.placement = config.placement;
-  dsm_cfg.topology = config.topology;
-  dsm_cfg.fanout = config.fanout;
-  dsm_cfg.race_check = config.race_check;
-  dsm_cfg.pid_strategy = config.pid_strategy;
-  dsm_cfg.trace_file = config.trace_file;
+  static_cast<dsm::Knobs&>(dsm_cfg) = config;
   dsm::DsmSystem system(cluster, dsm_cfg);
   ompx::Runtime rt(system);
   workload->setup(rt);
 
   std::optional<core::AdaptiveRuntime> adapt;
-  if (config.adaptive && !real) {
+  if (adaptive) {
     core::AdaptiveRuntime::Options opts;
     opts.gc_before_adapt = config.gc_before_adapt;
     opts.charge_spawn_cost = config.charge_spawn_cost;
@@ -62,9 +42,6 @@ RunResult run_workload(const RunConfig& config,
     for (const auto& ev : config.events) {
       adapt->post(ev);
     }
-  } else {
-    ANOW_CHECK_MSG(config.events.empty(),
-                   "adapt events scheduled on the non-adaptive base system");
   }
 
   system.start(config.nprocs);

@@ -1,20 +1,23 @@
 #include "util/options.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 
 namespace anow::util {
 
-namespace {
-
-/// The one exit path for bad command-line input.
-[[noreturn]] void usage_error(const std::string& message) {
+void usage_error(const std::string& message) {
   std::cerr << "error: " << message << "\n";
   std::exit(2);
 }
 
-}  // namespace
+bool parse_int(const std::string& text, std::int64_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end && !text.empty();
+}
 
 Options::Options(int argc, const char* const* argv) {
   if (argc > 0) {
@@ -48,31 +51,37 @@ std::string Options::get_string(const std::string& key,
   return it == values_.end() ? default_value : it->second;
 }
 
-std::string Options::get_choice(const std::string& key,
-                                const std::vector<std::string>& allowed,
-                                const std::string& default_value) const {
-  const std::string value = get_string(key, default_value);
-  if (std::find(allowed.begin(), allowed.end(), value) != allowed.end()) {
-    return value;
-  }
-  std::string choices;
-  for (const auto& a : allowed) {
-    if (!choices.empty()) choices += ",";
-    choices += a;
-  }
-  usage_error("option --" + key + " expects one of {" + choices + "}, got '" +
-              value + "'");
-}
-
 std::int64_t Options::get_int(const std::string& key,
                               std::int64_t default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
+  std::int64_t n = 0;
+  if (!parse_int(it->second, n)) {
     usage_error("option --" + key + " expects an integer, got '" +
                 it->second + "'");
+  }
+  return n;
+}
+
+std::vector<int> Options::get_int_list(const std::string& key,
+                                       const std::vector<int>& default_value,
+                                       int min) const {
+  auto it = values_.find(key);
+  if (it == values_.end()) return default_value;
+  std::vector<int> out;
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t comma = it->second.find(',', pos);
+    std::int64_t n = 0;
+    if (!parse_int(it->second.substr(pos, comma - pos), n) || n < min ||
+        n > INT_MAX) {
+      usage_error("option --" + key +
+                  " expects a comma-separated list of integers >= " +
+                  std::to_string(min) + ", got '" + it->second + "'");
+    }
+    out.push_back(static_cast<int>(n));
+    if (comma == std::string::npos) return out;
+    pos = comma + 1;
   }
 }
 
@@ -96,15 +105,24 @@ bool Options::get_bool(const std::string& key, bool default_value) const {
   usage_error("option --" + key + " expects a boolean, got '" + v + "'");
 }
 
+void Options::describe(const std::string& key, const std::string& help) {
+  help_.emplace_back(key, help);
+}
+
 void Options::allow_only(const std::vector<std::string>& keys) const {
   if (has("help")) {
     std::cout << "usage: " << program_ << " [options]\n";
     for (const auto& key : keys) std::cout << "  --" << key << "\n";
+    for (const auto& [key, help] : help_) {
+      std::cout << "  --" << key << "  " << help << "\n";
+    }
     std::exit(0);
   }
   for (const auto& [key, value] : values_) {
     (void)value;
-    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+    const auto described = [&key](const auto& h) { return h.first == key; };
+    if (std::find(keys.begin(), keys.end(), key) == keys.end() &&
+        std::none_of(help_.begin(), help_.end(), described)) {
       usage_error("unknown option --" + key);
     }
   }

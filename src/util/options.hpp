@@ -10,9 +10,18 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace anow::util {
+
+/// The one exit path for bad command-line or environment input: prints
+/// "error: <message>" to stderr and exits with status 2.
+[[noreturn]] void usage_error(const std::string& message);
+
+/// Parses all of `text` as a base-10 integer; false on empty input,
+/// trailing garbage ("4x") or overflow.
+bool parse_int(const std::string& text, std::int64_t& out);
 
 class Options {
  public:
@@ -23,27 +32,31 @@ class Options {
 
   std::string get_string(const std::string& key,
                          const std::string& default_value) const;
-  /// get_string restricted to an allowed set (e.g. --engine {lrc,home});
-  /// a usage error listing the valid choices when the value is not one of
-  /// them.
-  std::string get_choice(const std::string& key,
-                         const std::vector<std::string>& allowed,
-                         const std::string& default_value) const;
   std::int64_t get_int(const std::string& key,
                        std::int64_t default_value) const;
+  /// Comma-separated ints, each >= min (e.g. --dir-shards 1,4).
+  std::vector<int> get_int_list(const std::string& key,
+                                const std::vector<int>& default_value,
+                                int min) const;
   double get_double(const std::string& key, double default_value) const;
   bool get_bool(const std::string& key, bool default_value) const;
 
   /// Keys seen on the command line (for validation by the caller).
   const std::map<std::string, std::string>& raw() const { return values_; }
 
-  /// Checks that every provided key is in the allowed set (a usage error
-  /// otherwise).  With --help, prints the allowed set and exits 0 instead.
+  /// Accepts `key` in allow_only() and gives it a --help description.
+  void describe(const std::string& key, const std::string& help);
+
+  /// Checks that every provided key is in the allowed set or described (a
+  /// usage error otherwise).  With --help, prints the allowed set and the
+  /// descriptions and exits 0 instead.
   void allow_only(const std::vector<std::string>& keys) const;
 
  private:
   std::string program_;
   std::map<std::string, std::string> values_;
+  /// describe()d keys and their help, in the order described.
+  std::vector<std::pair<std::string, std::string>> help_;
 };
 
 }  // namespace anow::util

@@ -248,7 +248,7 @@ std::vector<SweepPoint> sweep_points() {
   std::vector<SweepPoint> pts;
   for (const char* app : {"jacobi", "gauss", "fft3d", "nbf", "hotspot"}) {
     for (const EngineKind engine : {EngineKind::kLrc, EngineKind::kHomeLrc}) {
-      pts.push_back({app, engine, piggyback_mode_from_env()});
+      pts.push_back({app, engine, env_knobs().piggyback});
     }
   }
   // Feature crosses on the two stencils: sharded directory, adaptive

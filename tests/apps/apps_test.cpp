@@ -136,8 +136,7 @@ INSTANTIATE_TEST_SUITE_P(Apps, AppAdaptCase,
                          ::testing::Values("jacobi", "gauss", "fft3d", "nbf"));
 
 TEST(AppProtocols, OnlyJacobiProducesDiffs) {
-  const bool home =
-      dsm::engine_kind_from_env() == dsm::EngineKind::kHomeLrc;
+  const bool home = dsm::env_knobs().engine == dsm::EngineKind::kHomeLrc;
   for (const auto& app : workload_names()) {
     harness::RunConfig cfg;
     cfg.app = app;

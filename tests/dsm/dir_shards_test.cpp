@@ -242,7 +242,7 @@ TEST_P(DirShardsAdaptTest, HolderLeaveAndJoinKeepResultsIntact) {
     // A departing shard holder's authority must go somewhere: to the
     // master (static fold) or to a surviving holder (adaptive placement
     // re-home, DESIGN.md §9) when the suite runs under ANOW_PLACEMENT.
-    if (placement_mode_from_env() == PlacementMode::kAdaptive) {
+    if (env_knobs().placement == PlacementMode::kAdaptive) {
       EXPECT_GE(adapted.stats.counter("dsm.placement.shard_moves"), 1)
           << "a departing holder's slice must re-home to a survivor";
     } else {

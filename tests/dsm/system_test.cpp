@@ -20,7 +20,7 @@ namespace anow::dsm {
 namespace {
 
 DsmConfig small_config(Protocol proto = Protocol::kMultiWriter,
-                       EngineKind engine = engine_kind_from_env()) {
+                       EngineKind engine = env_knobs().engine) {
   DsmConfig cfg;
   cfg.heap_bytes = 1 << 20;  // 256 pages
   cfg.default_protocol = proto;

@@ -10,9 +10,13 @@
 //    was not declared with write_range dies on SIGSEGV;
 //  * error paths: everything that needs the virtual clock (tracing, race
 //    checking, adaptive placement, adaptation events) is rejected up front
-//    with a util::CheckError under --backend real.
+//    with a util::CheckError under --backend real, and the knob table turns
+//    the same bad input from a command line or the environment into one
+//    "error:" line and exit status 2.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <thread>
@@ -24,6 +28,7 @@
 #include "harness/runner.hpp"
 #include "sim/cluster.hpp"
 #include "util/check.hpp"
+#include "util/options.hpp"
 
 namespace anow {
 namespace {
@@ -257,11 +262,105 @@ TEST(BackendGuards, AdaptEventsRejectedUnderReal) {
   EXPECT_THROW(harness::run_workload(cfg), util::CheckError);
 }
 
-TEST(BackendGuards, ParseAndNames) {
-  EXPECT_EQ(dsm::parse_backend_kind("sim"), dsm::BackendKind::kSim);
-  EXPECT_EQ(dsm::parse_backend_kind("real"), dsm::BackendKind::kReal);
-  EXPECT_STREQ(dsm::backend_kind_name(dsm::BackendKind::kReal), "real");
-  EXPECT_THROW(dsm::parse_backend_kind("hardware"), util::CheckError);
+// ---------------------------------------------------------------------------
+// The knob table (DESIGN.md §15)
+// ---------------------------------------------------------------------------
+
+/// A binary's main(): parse `args`, apply `flags` from the table onto the
+/// table defaults (not this process's environment), then allow_only().
+void run_main(const std::vector<std::string>& args,
+              const std::vector<std::string>& flags) {
+  std::vector<const char*> argv = {"prog"};
+  for (const auto& a : args) argv.push_back(a.c_str());
+  util::Options opts(static_cast<int>(argv.size()), argv.data());
+  dsm::Knobs knobs = dsm::Knobs::builtin();
+  dsm::apply_knob_options(opts, knobs, flags);
+  opts.allow_only({});
+}
+
+TEST(KnobTable, EveryRowParsesRejectsAndGuardsReal) {
+  for (const dsm::KnobSpec& spec : dsm::knob_table()) {
+    const std::string flag = spec.flag;
+    SCOPED_TRACE(flag);
+    const bool integer =
+        std::holds_alternative<int dsm::Knobs::*>(spec.field);
+
+    // The default, every choice and every alias parse and name back.
+    dsm::Knobs k = dsm::Knobs::builtin();
+    EXPECT_EQ(dsm::knob_value(k, spec), spec.fallback);
+    for (const auto& choice : spec.choices) {
+      EXPECT_EQ(dsm::set_knob(k, spec, choice), "");
+      EXPECT_EQ(dsm::knob_value(k, spec), choice);
+    }
+    for (const auto& [alias, canonical] : spec.aliases) {
+      EXPECT_EQ(dsm::set_knob(k, spec, alias), "");
+      EXPECT_EQ(dsm::knob_value(k, spec), canonical);
+    }
+
+    // Unknown values, trailing garbage and out-of-range integers exit 2
+    // from the command line and from the environment alike.
+    std::vector<std::string> bad;
+    if (integer) {
+      bad = {"abc", std::to_string(spec.min) + "x",
+             std::to_string(spec.min - 1)};
+    } else if (!spec.choices.empty()) {
+      bad = {"bogus", spec.choices.front() + "x"};
+    }
+    for (const auto& value : bad) {
+      EXPECT_NE(dsm::set_knob(k, spec, value), "") << value;
+      EXPECT_EXIT(run_main({"--" + flag + "=" + value}, {flag}),
+                  ::testing::ExitedWithCode(2),
+                  "error: --" + flag + "='" + value + "' expects");
+      if (spec.env != nullptr) {
+        EXPECT_EXIT(
+            {
+              ::setenv(spec.env, value.c_str(), 1);
+              dsm::read_env_knobs();
+            },
+            ::testing::ExitedWithCode(2),
+            std::string("error: ") + spec.env + "='" + value + "' expects");
+      }
+    }
+    if (integer) {
+      // A library caller gets the same range check as a CheckError.
+      dsm::Knobs low = dsm::Knobs::builtin();
+      low.*std::get<int dsm::Knobs::*>(spec.field) = spec.min - 1;
+      EXPECT_NE(dsm::knob_error(low).find("--" + flag), std::string::npos);
+    }
+
+    // Each simulator-only value is refused under the real backend, naming
+    // both knobs; the one real value is accepted.
+    if (spec.real_value == nullptr) continue;
+    std::vector<std::string> sim_only;
+    for (const auto& choice : spec.choices) {
+      if (choice != spec.real_value) sim_only.push_back(choice);
+    }
+    if (spec.choices.empty()) sim_only = {"t.json"};
+    dsm::Knobs real = dsm::Knobs::builtin();
+    real.backend = dsm::BackendKind::kReal;
+    EXPECT_EQ(dsm::set_knob(real, spec, spec.real_value), "");
+    EXPECT_EQ(dsm::knob_error(real), "");
+    for (const auto& value : sim_only) {
+      EXPECT_EQ(dsm::set_knob(real, spec, value), "");
+      const std::string why = dsm::knob_error(real);
+      EXPECT_NE(why.find("--" + flag), std::string::npos) << why;
+      EXPECT_NE(why.find("--backend"), std::string::npos) << why;
+      EXPECT_EXIT(run_main({"--backend=real", "--" + flag + "=" + value},
+                           {"backend", flag}),
+                  ::testing::ExitedWithCode(2),
+                  "error: --" + flag + ".*simulator-only.*--backend");
+    }
+  }
+}
+
+TEST(KnobTable, HelpListsKnobChoices) {
+  // The usage text goes to stdout; the death-test matcher reads stderr.
+  EXPECT_EXIT(
+      {
+        ::dup2(STDERR_FILENO, STDOUT_FILENO);
+        run_main({"--help"}, {"engine"});
+      },
+      ::testing::ExitedWithCode(0), "--engine.*lrc,home.*ANOW_ENGINE");
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Unit tests for the utility layer: checks, rng, stats, table, options,
 // and the bump arena behind the hot-path payloads (DESIGN.md §10).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/arena.hpp"
@@ -297,6 +299,35 @@ TEST(Options, RejectsBadInteger) {
               "error: option --nodes expects an integer, got 'abc'");
 }
 
+TEST(Options, RejectsTrailingGarbageInInteger) {
+  const char* argv[] = {"prog", "--nodes=4x"};
+  Options o(2, argv);
+  EXPECT_EXIT(o.get_int("nodes", 0), ::testing::ExitedWithCode(2),
+              "error: option --nodes expects an integer, got '4x'");
+}
+
+TEST(Options, IntListParsesAndDefaults) {
+  const char* argv[] = {"prog", "--dir-shards=1,4,16"};
+  Options o(2, argv);
+  EXPECT_EQ(o.get_int_list("dir-shards", {1}, 1), (std::vector<int>{1, 4, 16}));
+  EXPECT_EQ(o.get_int_list("scale-nodes", {8, 64}, 1),
+            (std::vector<int>{8, 64}));
+}
+
+TEST(Options, IntListRejectsBadEntries) {
+  // A bad entry, a zero, an empty entry or trailing garbage.
+  for (const char* list : {"1,x", "8,abc", "1,0", "4x", "1,,4", "1,"}) {
+    const std::string arg = std::string("--dir-shards=") + list;
+    const char* argv[] = {"prog", arg.c_str()};
+    Options o(2, argv);
+    EXPECT_EXIT(o.get_int_list("dir-shards", {1}, 1),
+                ::testing::ExitedWithCode(2),
+                "error: option --dir-shards expects a comma-separated list "
+                "of integers >= 1")
+        << list;
+  }
+}
+
 TEST(Options, AllowOnlyCatchesTypos) {
   const char* argv[] = {"prog", "--nodse=8"};
   Options o(2, argv);
@@ -310,6 +341,22 @@ TEST(Options, HelpListsAcceptedFlagsAndExitsZero) {
   // The flag list goes to stdout; the death-test matcher only sees stderr.
   EXPECT_EXIT(o.allow_only({"nodes", "size"}), ::testing::ExitedWithCode(0),
               "");
+}
+
+TEST(Options, DescribedKeysAreAcceptedAndListedInHelp) {
+  const char* argv[] = {"prog", "--engine=home"};
+  Options o(2, argv);
+  o.describe("engine", "one of {lrc,home}");
+  o.allow_only({"nodes"});  // accepts the described key without exiting
+  const char* help[] = {"prog", "--help"};
+  Options h(2, help);
+  h.describe("engine", "one of {lrc,home}");
+  EXPECT_EXIT(
+      {
+        ::dup2(STDERR_FILENO, STDOUT_FILENO);  // the matcher reads stderr
+        h.allow_only({"nodes"});
+      },
+      ::testing::ExitedWithCode(0), "--nodes.*--engine  one of");
 }
 
 TEST(Arena, AllocationsAreAlignedDisjointAndWritable) {

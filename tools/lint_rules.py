@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint rules (DESIGN.md §13).
 
-Three structural conventions that clang-tidy cannot express, enforced as
+Four structural conventions that clang-tidy cannot express, enforced as
 baselines so existing, reviewed occurrences stay legal while new ones fail
 the lint CI job:
 
@@ -19,6 +19,13 @@ the lint CI job:
    bucket; calling compute()/flush_cpu() inside a span risks
    double-attribution, so the per-file count of such calls may not grow
    (the reviewed baseline cases charge fixed service costs deliberately).
+
+4. knob-table — every run-time knob is one row of the knob table in
+   src/dsm/config.cpp (DESIGN.md §15), which alone reads the ANOW_*
+   environment; a getenv("ANOW_...") anywhere else would add a knob that
+   bypasses the table's validation, --help and backend checks.  The
+   per-file count may not grow (baseline: debug.hpp's ANOW_TRACE_PAGE
+   debugging switch).
 
 Exit code 0 = clean, 1 = violation (message names the rule and the line).
 Run from anywhere: paths resolve relative to the repo root.
@@ -57,6 +64,13 @@ STATS_LOOKUP_BASELINE = {
 
 COMPUTE_IN_SPAN_BASELINE = {
     "src/dsm/process.cpp": 10,
+}
+
+# --- rule 4: ANOW_* environment reads outside the knob table -------------
+
+KNOB_ENV_BASELINE = {
+    "src/dsm/config.cpp": None,  # the knob table: unlimited
+    "src/dsm/debug.hpp": 1,
 }
 
 CODE_SUFFIXES = {".cpp", ".hpp"}
@@ -169,11 +183,32 @@ def check_compute_in_span(violations):
             )
 
 
+def check_knob_env(violations):
+    read = re.compile(r"\bgetenv\s*\(\s*\"ANOW_")
+    for path in code_files():
+        name = rel(path)
+        allowed = KNOB_ENV_BASELINE.get(name, 0)
+        if allowed is None:
+            continue
+        hits = [
+            lineno
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            for _ in read.finditer(strip_comments(line))
+        ]
+        if len(hits) > allowed:
+            violations.append(
+                f"{name}: [knob-table] getenv(\"ANOW_...\") at lines {hits} "
+                f"(baseline {allowed}) — add a row to the knob table in "
+                "src/dsm/config.cpp instead"
+            )
+
+
 def main() -> int:
     violations = []
     check_send_envelope(violations)
     check_stats_lookups(violations)
     check_compute_in_span(violations)
+    check_knob_env(violations)
     if violations:
         for v in violations:
             print(v)
