@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
   // 4 pthreads vs 1 on a multi-core host should beat this comfortably; the
   // floor only guards against the backend serializing by accident.
   const double speedup_floor = opts.get_double("speedup-floor", 1.2);
-  const int nprocs = static_cast<int>(opts.get_int("nprocs", 4));
+  const int nprocs = static_cast<int>(opts.get_int("nprocs", 4, 1));
 
   // ---- microbench sweeps -------------------------------------------------
   bench::print_header(

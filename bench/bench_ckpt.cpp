@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   util::Options opts(argc, argv);
   opts.allow_only({"size", "full", "nodes"});
   const apps::Size size = bench::size_from_options(opts);
-  const int nodes = static_cast<int>(opts.get_int("nodes", 8));
+  const int nodes = static_cast<int>(opts.get_int("nodes", 8, 1));
 
   bench::print_header(
       "Checkpoint cost at adaptation points (paper §4.3)",

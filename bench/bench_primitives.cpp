@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
   using namespace anow;
   util::Options opts(argc, argv);
   opts.allow_only({"iters"});
-  const int iters = static_cast<int>(opts.get_int("iters", 64));
+  const int iters = static_cast<int>(opts.get_int("iters", 64, 1));
 
   bench::print_header(
       "DSM primitive costs (paper §5.1)",

@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   opts.allow_only({"size", "full", "nodes", "apps", "dir-shards",
                    "check-batching", "trace", "scale-nodes"});
   const apps::Size size = bench::size_from_options(opts);
-  const int nodes = static_cast<int>(opts.get_int("nodes", 8));
+  const int nodes = static_cast<int>(opts.get_int("nodes", 8, 1));
   const bool check_batching = opts.get_bool("check-batching", false);
   const std::string trace_path =
       opts.get_string("trace", "BENCH_trace.json");

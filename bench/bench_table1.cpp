@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
   std::vector<int> node_counts = {8, 4, 1};
   if (opts.has("nodes")) {
-    node_counts = {static_cast<int>(opts.get_int("nodes", 8))};
+    node_counts = {static_cast<int>(opts.get_int("nodes", 8, 1))};
   }
 
   const std::vector<std::string> t1_apps = bench::table1_apps();

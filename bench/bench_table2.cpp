@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   util::Options opts(argc, argv);
   opts.allow_only({"size", "full", "pairs", "spacing"});
   const apps::Size size = bench::size_from_options(opts);
-  const int pairs = static_cast<int>(opts.get_int("pairs", 3));
+  const int pairs = static_cast<int>(opts.get_int("pairs", 3, 1));
   const double spacing_s = opts.get_double("spacing", 0.0);
 
   bench::print_header(

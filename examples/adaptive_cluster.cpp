@@ -17,8 +17,8 @@ using namespace anow;
 int main(int argc, char** argv) {
   util::Options opts(argc, argv);
   opts.allow_only({"nodes", "n"});
-  const int nodes = static_cast<int>(opts.get_int("nodes", 8));
-  const std::int64_t n = opts.get_int("n", 512);
+  const int nodes = static_cast<int>(opts.get_int("nodes", 8, 1));
+  const std::int64_t n = opts.get_int("n", 512, 1);
 
   std::cout << "Gauss " << n << "x" << n << " on a NOW of " << nodes
             << " workstations with a day/evening availability pattern\n\n";

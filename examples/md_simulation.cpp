@@ -18,7 +18,7 @@ using namespace anow;
 int main(int argc, char** argv) {
   util::Options opts(argc, argv);
   opts.allow_only({"atoms", "rate", "seed"});
-  const std::int64_t atoms = opts.get_int("atoms", 8192);
+  const std::int64_t atoms = opts.get_int("atoms", 8192, 1);
   const double rate = opts.get_double("rate", 4.0);  // events/minute
   util::Rng rng(static_cast<std::uint64_t>(opts.get_int("seed", 1)));
 

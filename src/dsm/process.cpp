@@ -37,6 +37,10 @@ DsmProcess::DsmProcess(DsmSystem& system, Uid uid, sim::HostId host)
   if (real_) {
     heap_ = std::make_unique<exec::RealHeap>(
         static_cast<std::size_t>(cfg.heap_bytes));
+    // Interned before the first heap_sync_all below; never under sim, so
+    // the simulator's counter set is unchanged.
+    ctr_protect_calls_ = system_.stats().handle("exec.protect_calls");
+    ctr_protect_pages_ = system_.stats().handle("exec.protect_pages");
   } else {
     heap_ = std::make_unique<exec::SimHeap>(
         static_cast<std::size_t>(cfg.heap_bytes));
@@ -162,15 +166,9 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
         compute(sim::to_seconds(system_.cluster().cost().fault_fixed));
         trap_charged = true;
       }
-      if (engine_->note_exclusive_write(p)) {
-        ++accessed_since_fork_;
-        continue;
-      }
-      if (engine_->page(p).dirty) {
-        // The revoking serve already twinned the page.
-        ++accessed_since_fork_;
-        continue;
-      }
+      if (engine_->note_exclusive_write(p)) continue;
+      // The revoking serve already twinned the page.
+      if (engine_->page(p).dirty) continue;
       // Exclusivity revoked mid-trap: fall through to the normal path.
     }
 
@@ -187,7 +185,6 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
     engine_->declare_write(p);
     ANOW_PTRACE(p, "write declare (twin) val="
                        << *cptr<std::int64_t>(page_base(p)));
-    ++accessed_since_fork_;
   }
   heap_sync_all();
 }
@@ -228,7 +225,6 @@ void DsmProcess::fetch_page_copy(PageId page, bool must_cover_pending) {
 
 void DsmProcess::fault_in(PageId page) {
   obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kFaultService);
-  ++accessed_since_fork_;
   // SIGSEGV dispatch + mprotect + bookkeeping on the faulting node.
   compute(sim::to_seconds(system_.cluster().cost().fault_fixed));
 
@@ -254,7 +250,6 @@ void DsmProcess::fault_in_range(PageId first, PageId last) {
   for (PageId p = first; p < last; ++p) {
     if (engine_->page(p).is_valid()) continue;
     (*ctr_faults_read_)++;
-    ++accessed_since_fork_;
     compute(sim::to_seconds(system_.cluster().cost().fault_fixed));
     need.push_back(p);
   }
@@ -684,7 +679,6 @@ void DsmProcess::gc_validate(const OwnerDelta& owners) {
     // CPU flushes at exactly the same points as the unbatched path.
     for (std::size_t i = 0; i < batchable.size(); ++i) {
       (*ctr_gc_validation_faults_)++;
-      ++accessed_since_fork_;
       compute(sim::to_seconds(system_.cluster().cost().fault_fixed));
     }
     system_.stats().counter("dsm.gc_batched_fetch_rounds") +=
@@ -1283,7 +1277,6 @@ void DsmProcess::run_task(const ForkMsg& fork) {
   } else {
     apply_owner_hints(fork.owner_delta);
   }
-  accessed_since_fork_ = 0;
   // Fork-borne invalidations/commits must revoke app-view access before
   // the task body runs.
   heap_sync_all();
@@ -1341,10 +1334,36 @@ exec::PageAccess DsmProcess::desired_access(PageId page) const {
 
 void DsmProcess::heap_sync_all() {
   if (!real_) return;
-  const PageId n = system_.num_pages();
-  for (PageId p = 0; p < n; ++p) {
-    heap_->set_access(p, desired_access(p));
+  engine_->take_access_transitions(sync_pages_);
+  std::sort(sync_pages_.begin(), sync_pages_.end());
+  std::size_t i = 0;
+  while (i < sync_pages_.size()) {
+    // One maximal run of adjacent changed pages with the same target.
+    const PageId first = sync_pages_[i];
+    const exec::PageAccess want = desired_access(first);
+    std::size_t j = i + 1;
+    while (j < sync_pages_.size() &&
+           sync_pages_[j] == first + static_cast<PageId>(j - i) &&
+           desired_access(sync_pages_[j]) == want) {
+      ++j;
+    }
+    const std::int32_t covered =
+        heap_->set_access(first, static_cast<std::int32_t>(j - i), want);
+    if (covered > 0) {
+      (*ctr_protect_calls_)++;
+      *ctr_protect_pages_ += covered;
+    }
+    i = j;
   }
+#ifdef ANOW_PROTOCOL_CHECKS
+  // Missed-transition cross-check: a mutation site that forgot to
+  // mark_access leaves a page whose applied protection is stale.
+  for (PageId p = 0; p < system_.num_pages(); ++p) {
+    ANOW_CHECK_MSG(heap_->access(p) == desired_access(p),
+                   "uid " << uid_ << " page " << p
+                          << " protection out of sync with engine state");
+  }
+#endif
 }
 
 }  // namespace anow::dsm

@@ -107,8 +107,6 @@ class DsmProcess {
 
   /// Number of pages this process currently has a (possibly stale) copy of.
   std::int64_t resident_pages() const { return engine_->resident_pages(); }
-  /// Pages accessed (faulted or written) since the last fork.
-  std::int64_t accessed_pages_since_fork() const { return accessed_since_fork_; }
 
   /// Current consistency-metadata footprint (twins + own diff archive +
   /// pending notices) — drives the GC threshold.
@@ -220,8 +218,10 @@ class DsmProcess {
   void gc_validate(const OwnerDelta& owners);
 
   // --- real-backend protection check (DESIGN.md §14) -------------------------
-  /// Re-derives every page's app-view protection from engine state.  No-op
-  /// under the simulator.
+  /// Brings the app-view protection of every page whose engine state
+  /// changed since the last sync in line with desired_access, one mprotect
+  /// per run of adjacent pages with the same target.  No-op under the
+  /// simulator.
   void heap_sync_all();
   exec::PageAccess desired_access(PageId page) const;
 
@@ -259,6 +259,10 @@ class DsmProcess {
   util::StatsRegistry::Counter* ctr_home_flushes_pb_ = nullptr;
   util::StatsRegistry::Counter* ctr_gc_validation_faults_ = nullptr;
   util::StatsRegistry::Counter* ctr_home_validation_faults_ = nullptr;
+  /// Real backend only (null under sim): ranged mprotect calls made by
+  /// heap_sync_all and the pages they covered.
+  util::StatsRegistry::Counter* ctr_protect_calls_ = nullptr;
+  util::StatsRegistry::Counter* ctr_protect_pages_ = nullptr;
 
   /// The shared-region storage behind the execution seam (DESIGN.md §14):
   /// SimHeap (one plain buffer) or RealHeap (dual-mapped memfd pages whose
@@ -271,7 +275,8 @@ class DsmProcess {
   /// Outbound transport: all sends depart through here (DESIGN.md §7).
   Channel channel_;
 
-  std::int64_t accessed_since_fork_ = 0;
+  /// heap_sync_all's scratch list of changed pages (kept for its capacity).
+  std::vector<PageId> sync_pages_;
   /// Coalesced small CPU charges awaiting flush_cpu().
   double deferred_cpu_ = 0.0;
 

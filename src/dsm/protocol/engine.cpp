@@ -20,6 +20,10 @@ void ConsistencyEngine::attach_node(Uid self, std::uint8_t* region,
   protocol_ = &protocol;
   stats_ = &stats;
   pages_ = std::vector<PageMeta>(static_cast<std::size_t>(num_pages));
+  // Only a real heap carries per-page protection to keep in sync.
+  if (config_->backend == BackendKind::kReal) {
+    access_marked_.assign(static_cast<std::size_t>(num_pages), 0);
+  }
   if (dir.hint_map != nullptr) {
     // Sharded directory: every process can compute the default holder of
     // every page from the config alone, so hints start there instead of at
@@ -37,6 +41,7 @@ void ConsistencyEngine::attach_node(Uid self, std::uint8_t* region,
     PageMeta& pm = pages_[static_cast<std::size_t>(p)];
     pm.have_copy = true;
     pm.exclusive = true;
+    mark_access(p);
   };
   if (dir.seed_shard == NodeDirInit::kSeedAll) {
     for (PageId p = 0; p < num_pages; ++p) seed(p);
@@ -123,6 +128,7 @@ void ConsistencyEngine::reset_directory_node_state() {
     pm.have_copy = master;
     pm.exclusive = master;
     pm.exclusive_rw = false;
+    mark_access(p);
   }
   dirty_pages_.clear();
 }
@@ -140,6 +146,7 @@ bool ConsistencyEngine::note_exclusive_write(PageId p) {
   if (!pm.exclusive) return false;
   pm.exclusive_rw = true;
   pm.exclusive_epoch = epoch_;
+  mark_access(p);
   return true;
 }
 

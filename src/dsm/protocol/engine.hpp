@@ -160,6 +160,18 @@ class ConsistencyEngine {
   /// settled.
   void begin_construct() { ++epoch_; }
 
+  // --- app-view protection transitions (DESIGN.md §14) -------------------
+  /// Hands over every page whose access-relevant state (have_copy, pending
+  /// notices, dirty, exclusive, exclusive_rw) may have changed since the
+  /// last call, each page once and in no particular order, and starts a new
+  /// record.  Only the real backend records; under the simulator the list
+  /// is always empty.
+  void take_access_transitions(std::vector<PageId>& out) {
+    out.clear();
+    out.swap(access_transitions_);
+    for (PageId p : out) access_marked_[static_cast<std::size_t>(p)] = 0;
+  }
+
   // --- write fault path --------------------------------------------------
   /// Re-checks exclusivity after the (possibly parked) write trap: if the
   /// page is still exclusive, write-enables it under the current epoch and
@@ -363,6 +375,16 @@ class ConsistencyEngine {
   }
   virtual void on_owners_reset() {}
 
+  /// Records that `p`'s access-relevant state may have changed (see
+  /// take_access_transitions); every mutation of those fields calls it.
+  void mark_access(PageId p) {
+    if (access_marked_.empty()) return;  // not recording (simulator)
+    std::uint8_t& marked = access_marked_[static_cast<std::size_t>(p)];
+    if (marked != 0) return;
+    marked = 1;
+    access_transitions_.push_back(p);
+  }
+
   const DsmConfig* config_ = nullptr;
   util::StatsRegistry* stats_ = nullptr;
 
@@ -372,6 +394,10 @@ class ConsistencyEngine {
   const std::vector<Protocol>* protocol_ = nullptr;
   std::vector<PageMeta> pages_;
   std::vector<PageId> dirty_pages_;
+  /// Pending protection transitions and their per-page dedup flags; the
+  /// flags are sized only under the real backend.
+  std::vector<PageId> access_transitions_;
+  std::vector<std::uint8_t> access_marked_;
   std::int32_t next_iseq_ = 1;
   std::uint64_t serve_seq_ = 1;
   std::uint64_t gc_prepare_serve_seq_ = 0;

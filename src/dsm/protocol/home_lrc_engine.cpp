@@ -64,6 +64,7 @@ void HomeLrcEngine::declare_write(PageId p) {
   }
   pm.dirty = true;
   dirty_pages_.push_back(p);
+  mark_access(p);
 }
 
 // ---------------------------------------------------------------------------
@@ -97,6 +98,7 @@ void HomeLrcEngine::install_copy(PageId p, const std::uint8_t* data,
   }
   pm.have_copy = true;
   pm.applied = applied;
+  mark_access(p);
   if (must_cover_pending) {
     for (const auto& n : pm.pending) {
       ANOW_CHECK_MSG(pm.applied.covers(n.creator, n.iseq),
@@ -210,6 +212,7 @@ bool HomeLrcEngine::prepare_serve(PageId p) {
         pm.exclusive_rw && pm.exclusive_epoch == epoch_;
     pm.exclusive = false;
     pm.exclusive_rw = false;
+    mark_access(p);
     if (!pm.dirty && maybe_mid_write) {
       pm.dirty = true;
       dirty_pages_.push_back(p);
@@ -240,6 +243,7 @@ Interval HomeLrcEngine::finish_interval() {
     PageMeta& pm = page(p);
     ANOW_CHECK(pm.dirty);
     pm.dirty = false;
+    mark_access(p);
     if (pm.twin != nullptr) {
       // Not home: the diff flushes eagerly before the interval is
       // announced (plan_home_flush consumes flush_pages_).
@@ -267,6 +271,7 @@ void HomeLrcEngine::integrate(const std::vector<Interval>& intervals) {
                                              << " written concurrently");
       }
       pm.pending.push_back({iv.creator, iv.iseq, iv.lamport, wn.protocol});
+      mark_access(wn.page);
       ANOW_ETRACE(wn.page, "notice from " << iv.creator << " iseq "
                                           << iv.iseq);
       ++pending_count_;
@@ -329,9 +334,11 @@ void HomeLrcEngine::gc_commit_node(const OwnerDelta& delta) {
         pm.exclusive = true;
         pm.exclusive_rw = false;
         pm.exclusive_epoch = -1;
+        mark_access(p);
       }
     } else {
       if (pm.have_copy) {
+        mark_access(p);
         ANOW_ETRACE(p, "gc: dropped copy, home " << pm.owner_hint);
       }
       pm.have_copy = false;

@@ -91,6 +91,7 @@ void LrcEngine::declare_write(PageId p) {
   }
   pm.dirty = true;
   dirty_pages_.push_back(p);
+  mark_access(p);
 }
 
 // ---------------------------------------------------------------------------
@@ -125,6 +126,7 @@ void LrcEngine::install_copy(PageId p, const std::uint8_t* data,
   std::memcpy(region_ + page_base(p), data, kPageSize);
   pm.have_copy = true;
   pm.applied = applied;
+  mark_access(p);
   if (must_cover_pending) {
     // Single-writer fetch: the last writer's copy must cover every pending
     // notice for the page.
@@ -213,6 +215,7 @@ std::int64_t LrcEngine::apply_fetched_diffs(
   }
   pending_count_ -= static_cast<std::int64_t>(pm.pending.size());
   pm.pending.clear();
+  mark_access(p);
   ANOW_ETRACE(p, "applied diffs");
   return applied_bytes;
 }
@@ -234,6 +237,7 @@ bool LrcEngine::prepare_serve(PageId p) {
         pm.exclusive_rw && pm.exclusive_epoch == epoch_;
     pm.exclusive = false;
     pm.exclusive_rw = false;
+    mark_access(p);
     if (!pm.dirty && maybe_mid_write) {
       if (protocol_of(p) == Protocol::kMultiWriter) {
         ANOW_CHECK(pm.twin == nullptr);
@@ -288,6 +292,7 @@ Interval LrcEngine::finish_interval() {
     PageMeta& pm = page(p);
     ANOW_CHECK(pm.dirty);
     pm.dirty = false;
+    mark_access(p);
     if (protocol_of(p) == Protocol::kMultiWriter) {
       // Lazy diffing: keep the twin; the diff is materialized only if
       // someone requests it or the page is written again.  The notice goes
@@ -319,6 +324,7 @@ void LrcEngine::integrate(const std::vector<Interval>& intervals) {
                                              << " written concurrently");
       }
       pm.pending.push_back({iv.creator, iv.iseq, iv.lamport, wn.protocol});
+      mark_access(wn.page);
       ANOW_ETRACE(wn.page, "notice from " << iv.creator << " iseq "
                                           << iv.iseq);
       ++pending_count_;
@@ -392,11 +398,13 @@ void LrcEngine::gc_commit_node(const OwnerDelta& delta) {
         pm.exclusive = true;
         pm.exclusive_rw = false;
         pm.exclusive_epoch = -1;
+        mark_access(p);
       }
     } else {
       // Drop non-owned copies even when valid; this makes exclusivity
       // sound and is why a join needs only the page->owner map (§4.1).
       if (pm.have_copy) {
+        mark_access(p);
         ANOW_ETRACE(p, "gc: dropped copy, owner now " << pm.owner_hint);
       }
       pm.have_copy = false;

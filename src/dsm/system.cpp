@@ -595,7 +595,6 @@ void DsmSystem::run_parallel(std::int32_t task_id,
   // arrive here as well.
   master.engine().integrate(engine_->collect_undelivered(kMasterUid));
   master.apply_owner_hints(commit.delta);
-  master.accessed_since_fork_ = 0;
   master.engine().begin_construct();
   master.heap_sync_all();
   run_task_body(task_id, master, args);

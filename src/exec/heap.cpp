@@ -4,7 +4,7 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
-#include <cstring>
+#include <algorithm>
 
 #include "util/check.hpp"
 
@@ -53,7 +53,7 @@ RealHeap::RealHeap(std::size_t bytes) {
   bytes_ = bytes;
 
   // One memfd, mapped twice: the protocol view is always RW, the app view
-  // starts PROT_NONE (every page invalid) and is opened per-page by
+  // starts PROT_NONE (every page invalid) and is opened in page runs by
   // set_access.
   const int fd =
       static_cast<int>(syscall(SYS_memfd_create, "anow-heap", 0u));
@@ -65,9 +65,10 @@ RealHeap::RealHeap(std::size_t bytes) {
   void* app_map = mmap(nullptr, bytes, PROT_NONE, MAP_SHARED, fd, 0);
   ANOW_CHECK_MSG(app_map != MAP_FAILED, "mmap(app view) failed");
   close(fd);  // mappings keep the pages alive
+  // No zero fill: a fresh memfd's pages read as zero, and a page is
+  // committed only when the protocol or the application first touches it.
   prot_ = static_cast<std::uint8_t*>(prot_map);
   app_ = static_cast<std::uint8_t*>(app_map);
-  std::memset(prot_, 0, bytes);
 
   access_.assign(bytes / kPageBytes, PageAccess::kNone);
 }
@@ -77,11 +78,18 @@ RealHeap::~RealHeap() {
   munmap(prot_, bytes_);
 }
 
-void RealHeap::set_access(std::int32_t page, PageAccess a) {
-  const auto p = static_cast<std::size_t>(page);
-  if (access_[p] == a) return;
-  access_[p] = a;
-  ANOW_CHECK(mprotect(app_ + p * kPageBytes, kPageBytes, prot_for(a)) == 0);
+std::int32_t RealHeap::set_access(std::int32_t first, std::int32_t count,
+                                  PageAccess a) {
+  auto lo = static_cast<std::size_t>(first);
+  auto hi = lo + static_cast<std::size_t>(count);
+  while (lo < hi && access_[lo] == a) ++lo;
+  while (hi > lo && access_[hi - 1] == a) --hi;
+  if (lo == hi) return 0;
+  std::fill(access_.begin() + static_cast<std::ptrdiff_t>(lo),
+            access_.begin() + static_cast<std::ptrdiff_t>(hi), a);
+  ANOW_CHECK(mprotect(app_ + lo * kPageBytes, (hi - lo) * kPageBytes,
+                      prot_for(a)) == 0);
+  return static_cast<std::int32_t>(hi - lo);
 }
 
 }  // namespace anow::exec

@@ -7,11 +7,11 @@
 //    diff apply, region restore) reads and writes.
 //
 // SimHeap aliases both views onto one zeroed buffer.  RealHeap maps the
-// same memfd pages twice: the app view carries per-page mprotect state that
-// checks the declaration contract (every shared access goes through
-// read_range / write_range), while the protocol view stays
-// PROT_READ|PROT_WRITE so protocol writes never fault.  Desired page protection is derived from
-// engine state by the owning DsmProcess:
+// same memfd pages (zero by construction) twice: the app view carries
+// per-page mprotect state that checks the declaration contract (every
+// shared access goes through read_range / write_range), while the protocol
+// view stays PROT_READ|PROT_WRITE so protocol writes never fault.  Desired
+// page protection is derived from engine state by the owning DsmProcess:
 //
 //    invalid (no copy / pending notices)  -> kNone   (any touch = app bug)
 //    valid, clean                         -> kRead   (undeclared write = app bug)
@@ -42,9 +42,23 @@ class ProcessHeap {
     return static_cast<std::int32_t>(bytes_ / kPageBytes);
   }
 
-  /// Real backend: sets the app view's protection of `page`.  No-op on
-  /// SimHeap so call sites stay branch-free.
-  virtual void set_access(std::int32_t /*page*/, PageAccess /*a*/) {}
+  /// Real backend: sets the app view's protection of pages [first,
+  /// first + count) with at most one mprotect, skipping the leading and
+  /// trailing pages that already have it.  Returns the number of pages the
+  /// call covered (0: no syscall).  No-op on SimHeap.
+  virtual std::int32_t set_access(std::int32_t /*first*/,
+                                  std::int32_t /*count*/, PageAccess /*a*/) {
+    return 0;
+  }
+  /// The one-page run [page, page + 1).
+  std::int32_t set_access(std::int32_t page, PageAccess a) {
+    return set_access(page, 1, a);
+  }
+  /// The app view's current protection of `page` (SimHeap: always
+  /// writable).
+  virtual PageAccess access(std::int32_t /*page*/) const {
+    return PageAccess::kWrite;
+  }
 
  protected:
   std::uint8_t* app_ = nullptr;
@@ -65,7 +79,12 @@ class RealHeap final : public ProcessHeap {
   explicit RealHeap(std::size_t bytes);
   ~RealHeap() override;
 
-  void set_access(std::int32_t page, PageAccess a) override;
+  using ProcessHeap::set_access;
+  std::int32_t set_access(std::int32_t first, std::int32_t count,
+                          PageAccess a) override;
+  PageAccess access(std::int32_t page) const override {
+    return access_[static_cast<std::size_t>(page)];
+  }
 
  private:
   /// Current app-view protection per page, so unchanged pages cost no

@@ -1,5 +1,9 @@
 #include "exec/real_runtime.hpp"
 
+#include <cstdlib>
+#include <exception>
+#include <iostream>
+
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
 
@@ -180,7 +184,18 @@ void RealRuntime::run(std::function<void()> master_body) {
     });
   }
   tl_uid = 0;
-  master_body();
+  try {
+    master_body();
+  } catch (const std::exception& e) {
+    // The peers cannot be unwound from here (they may wait on the master
+    // forever), so a failed check on the master ends the program with its
+    // message, as an uncaught one on a peer's thread does.
+    if (nprocs_ > 1) {
+      std::cerr << "exec: process 0 failed: " << e.what() << "\n";
+      std::abort();
+    }
+    throw;
+  }
   for (ProcId uid = 1; uid < nprocs_; ++uid) {
     procs_[static_cast<std::size_t>(uid)]->thread.join();
   }

@@ -52,13 +52,18 @@ std::string Options::get_string(const std::string& key,
 }
 
 std::int64_t Options::get_int(const std::string& key,
-                              std::int64_t default_value) const {
+                              std::int64_t default_value,
+                              std::int64_t min) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   std::int64_t n = 0;
   if (!parse_int(it->second, n)) {
     usage_error("option --" + key + " expects an integer, got '" +
                 it->second + "'");
+  }
+  if (n < min) {
+    usage_error("option --" + key + " expects an integer >= " +
+                std::to_string(min) + ", got '" + it->second + "'");
   }
   return n;
 }

@@ -32,8 +32,9 @@ class Options {
 
   std::string get_string(const std::string& key,
                          const std::string& default_value) const;
-  std::int64_t get_int(const std::string& key,
-                       std::int64_t default_value) const;
+  /// An integer >= min (the default `min` accepts any).
+  std::int64_t get_int(const std::string& key, std::int64_t default_value,
+                       std::int64_t min = INT64_MIN) const;
   /// Comma-separated ints, each >= min (e.g. --dir-shards 1,4).
   std::vector<int> get_int_list(const std::string& key,
                                 const std::vector<int>& default_value,

@@ -8,10 +8,13 @@
 // home-based LRC) so the protocols are held to the same correctness bar.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "dsm/debug.hpp"
 #include "dsm/system.hpp"
 #include "sim/cluster.hpp"
 #include "util/check.hpp"
@@ -447,6 +450,21 @@ TEST(DsmSystem, TaskNamesAreRecorded) {
   auto id = sys.register_task(
       "my_loop", [](DsmProcess&, const std::vector<std::uint8_t>&) {});
   EXPECT_EQ(sys.task_name(id), "my_loop");
+}
+
+TEST(TracePage, BadValueExitsTwo) {
+  // traced_page() caches its first parse, so each case runs in a fresh
+  // re-executed child.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"abc", "3x", "", "-1"}) {
+    EXPECT_EXIT(
+        {
+          ::setenv("ANOW_TRACE_PAGE", bad, 1);
+          (void)traced_page();
+        },
+        ::testing::ExitedWithCode(2),
+        std::string("error: ANOW_TRACE_PAGE='") + bad + "' expects a page id");
+  }
 }
 
 TEST(DsmSystem, DeterministicAcrossRuns) {

@@ -75,11 +75,76 @@ TEST(SpscQueue, FifoAcrossThreads) {
 // RealHeap dual mapping
 // ---------------------------------------------------------------------------
 
-TEST(RealHeap, ViewsAliasTheSamePages) {
-  exec::RealHeap heap(4 * exec::kPageBytes);
+TEST(RealHeap, RangedAccessCoversTheRunAndAliasesTheViews) {
+  using exec::kPageBytes;
+  using exec::PageAccess;
+  exec::RealHeap heap(8 * kPageBytes);
   heap.prot_base()[10] = 0x5A;  // protocol view is always writable
-  heap.set_access(0, exec::PageAccess::kRead);
+  // One call opens the whole run; pages outside it stay inaccessible.
+  EXPECT_EQ(heap.set_access(0, 4, PageAccess::kRead), 4);
   EXPECT_EQ(heap.app_base()[10], 0x5A);  // same physical page
+  EXPECT_EQ(heap.app_base()[3 * kPageBytes + 7], 0);  // memfd reads zero
+  for (std::int32_t p = 0; p < 8; ++p) {
+    EXPECT_EQ(heap.access(p), p < 4 ? PageAccess::kRead : PageAccess::kNone);
+  }
+  // Pages that already have the target cost nothing: an unchanged run makes
+  // no call, and a run's unchanged ends are trimmed off the one call.
+  EXPECT_EQ(heap.set_access(0, 4, PageAccess::kRead), 0);
+  EXPECT_EQ(heap.set_access(2, 4, PageAccess::kRead), 2);
+  EXPECT_EQ(heap.set_access(1, 2, PageAccess::kWrite), 2);
+  heap.app_base()[2 * kPageBytes] = 0x33;  // a writable page of the run
+  EXPECT_EQ(heap.prot_base()[2 * kPageBytes], 0x33);
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(heap.app_base()[3 * kPageBytes] = 1, "");  // kRead page
+  EXPECT_DEATH(heap.app_base()[6 * kPageBytes] = 1, "");  // kNone page
+}
+
+/// A 1-process real system with a 3-page allocation: the master reads the
+/// whole range, declares it written when `declare` is set, then stores into
+/// its middle page.  Returns the stored value read back and the mprotect
+/// calls the declaration's sync made.
+std::pair<std::int64_t, std::int64_t> store_into_range(bool declare) {
+  sim::Cluster cluster({}, 1);
+  dsm::DsmConfig cfg;
+  cfg.heap_bytes = 1 << 20;
+  cfg.backend = dsm::BackendKind::kReal;
+  dsm::DsmSystem sys(cluster, cfg);
+  sys.start(1);
+  std::int64_t value = 0;
+  std::int64_t calls = 0;
+  sys.run([&](dsm::DsmProcess& master) {
+    const dsm::GAddr addr = sys.shared_malloc(3 * dsm::kPageSize);
+    const dsm::GAddr mid = addr + dsm::kPageSize;
+    master.read_range(addr, 3 * dsm::kPageSize);
+    const std::int64_t before = sys.stats().counter_value("exec.protect_calls");
+    if (declare) master.write_range(addr, 3 * dsm::kPageSize);
+    calls = sys.stats().counter_value("exec.protect_calls") - before;
+    master.ptr<std::int64_t>(mid)[0] = 42;
+    value = master.cptr<std::int64_t>(mid)[0];
+  });
+  return {value, calls};
+}
+
+TEST(RealHeap, DeclaredRangeOpensInOneCallAndReadRangeStoreDies) {
+  // The three pages turn writable together: one ranged mprotect.
+  EXPECT_EQ(store_into_range(/*declare=*/true),
+            std::make_pair(std::int64_t{42}, std::int64_t{1}));
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(store_into_range(/*declare=*/false), "");
+}
+
+TEST(RealHeap, InitialSyncOfAValidHeapIsOneCall) {
+  // The unsharded master starts with a valid copy of every page: one run,
+  // one call, covering the whole heap.
+  sim::Cluster cluster({}, 1);
+  dsm::DsmConfig cfg;
+  cfg.heap_bytes = 1 << 20;
+  cfg.backend = dsm::BackendKind::kReal;
+  dsm::DsmSystem sys(cluster, cfg);
+  sys.start(1);
+  EXPECT_EQ(sys.stats().counter_value("exec.protect_calls"), 1);
+  EXPECT_EQ(sys.stats().counter_value("exec.protect_pages"), sys.num_pages());
+  sys.run([](dsm::DsmProcess&) {});
 }
 
 // ---------------------------------------------------------------------------
@@ -159,6 +224,24 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(info.param)) + "_" +
              dsm::engine_kind_name(std::get<1>(info.param));
     });
+
+TEST(BackendDifferential, OneProcessJacobiProtectCallsStayBounded) {
+  // Test-size Jacobi on one process: one call opens the seeded heap
+  // read-only and one opens the grid's pages for the master's exclusive
+  // writes, which then stay open for the run.  A sync that fell back to
+  // per-page calls would make hundreds.
+  const harness::RunResult real =
+      run_once("jacobi", dsm::BackendKind::kReal, dsm::EngineKind::kLrc, 1);
+  EXPECT_GE(real.stats.counter("exec.protect_calls"), 1);
+  EXPECT_LE(real.stats.counter("exec.protect_calls"), 4);
+  EXPECT_GE(real.stats.counter("exec.protect_pages"),
+            real.stats.counter("exec.protect_calls"));
+  // The simulator never interns the exec.* counters.
+  const harness::RunResult sim =
+      run_once("jacobi", dsm::BackendKind::kSim, dsm::EngineKind::kLrc, 1);
+  EXPECT_EQ(sim.stats.counters.count("exec.protect_calls"), 0u);
+  EXPECT_EQ(sim.stats.counters.count("exec.protect_pages"), 0u);
+}
 
 TEST(BackendDifferential, SimIsDeterministic) {
   // Pinning --backend sim must stay byte-identical run to run: same

@@ -306,6 +306,15 @@ TEST(Options, RejectsTrailingGarbageInInteger) {
               "error: option --nodes expects an integer, got '4x'");
 }
 
+TEST(Options, IntegerBelowMinimumExitsTwo) {
+  const char* argv[] = {"prog", "--nodes=0", "--seed=-3"};
+  Options o(3, argv);
+  EXPECT_EQ(o.get_int("seed", 0), -3);  // no minimum: any integer
+  EXPECT_EQ(o.get_int("iters", 5, 1), 5);  // absent: the default
+  EXPECT_EXIT(o.get_int("nodes", 8, 1), ::testing::ExitedWithCode(2),
+              "error: option --nodes expects an integer >= 1, got '0'");
+}
+
 TEST(Options, IntListParsesAndDefaults) {
   const char* argv[] = {"prog", "--dir-shards=1,4,16"};
   Options o(2, argv);
