@@ -21,6 +21,7 @@
 #include "dsm/msg.hpp"
 #include "dsm/system.hpp"
 #include "sim/simulator.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace anow {
@@ -83,6 +84,34 @@ std::pair<PrimitiveResult, PrimitiveResult> diff_throughput() {
   apply.seconds = seconds_since(t0);
   apply.ops = kIters;
   return {make, apply};
+}
+
+/// make_diff throughput where the twin equals the page (a write-declared
+/// page whose words were all rewritten with their old values — every diff
+/// of a jacobi-diff run has this shape): the whole-block early-out path.
+PrimitiveResult diff_make_clean_throughput() {
+  using namespace dsm;
+  util::Rng rng(20260728);
+  constexpr int kVariants = 64;
+  constexpr int kIters = 100000;
+  std::vector<std::vector<std::uint8_t>> twins, curs;
+  for (int v = 0; v < kVariants; ++v) {
+    std::vector<std::uint8_t> twin(kPageSize);
+    for (auto& b : twin) b = static_cast<std::uint8_t>(rng.next_u64());
+    curs.push_back(twin);
+    twins.push_back(std::move(twin));
+  }
+  PrimitiveResult make;
+  std::size_t bytes = 0;
+  const auto t0 = Clock::now();
+  for (int i = 0; i < kIters; ++i) {
+    bytes += make_diff(twins[i % kVariants].data(), curs[i % kVariants].data())
+                 .size();
+  }
+  make.seconds = seconds_since(t0);
+  make.ops = kIters;
+  ANOW_CHECK_MSG(bytes == 0, "clean pages produced a non-empty diff");
+  return make;
 }
 
 dsm::Interval random_release_interval(util::Rng& rng) {
@@ -452,6 +481,7 @@ std::map<std::string, double> run_primitives_and_write_json() {
       "Ops/sec through the consistency engine's hot paths; written to "
       "BENCH_micro.json as the perf baseline for future PRs.");
   const auto [diff_make, diff_apply] = diff_throughput();
+  const auto diff_make_clean = diff_make_clean_throughput();
   const auto envelope = envelope_pack_unpack_throughput();
   const auto sim_loop = sim_event_loop_throughput();
   const auto fiber_switch = fiber_switch_throughput();
@@ -498,6 +528,7 @@ std::map<std::string, double> run_primitives_and_write_json() {
     t.row().add(name).add(r.ops).add(r.seconds, 3).add(r.ops_per_s(), 0);
   };
   add("diff make", diff_make);
+  add("diff make (clean page)", diff_make_clean);
   add("diff apply", diff_apply);
   add("envelope pack/unpack", envelope);
   add("sim event loop", sim_loop);
@@ -556,6 +587,7 @@ std::map<std::string, double> run_primitives_and_write_json() {
     fresh[name] = r.ops_per_s();
   };
   emit("diff_make", diff_make);
+  emit("diff_make_clean", diff_make_clean);
   emit("diff_apply", diff_apply);
   emit("envelope_pack_unpack", envelope);
   emit("sim_event_loop", sim_loop);

@@ -52,6 +52,10 @@ CheckpointImage CheckpointImage::load_from_file(const std::string& path) {
 }
 
 CheckpointImage Checkpointer::take(std::vector<std::uint8_t> app_state) {
+  // The disk write is charged as simulated time, which a real run lacks.
+  ANOW_CHECK_MSG(!system_.rt().real(),
+                 "checkpointing is simulator-only: it is not supported "
+                 "under --backend real");
   auto& cluster = system_.cluster();
   const sim::Time t0 = cluster.sim().now();
 

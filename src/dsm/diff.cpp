@@ -25,12 +25,21 @@ constexpr std::size_t kMaskWords = kWordsPerPage / 64;  // 8 × u64 per page
 static_assert(kWordsPerPage % 64 == 0);
 static_assert(kWordSize == 8, "the scan reads 8-byte words");
 
-/// Phase one: one bit per page word, set when the word differs.
+constexpr std::size_t kBlockBytes = 64 * kWordSize;  // one mask word's span
+
+/// Phase one: one bit per page word, set when the word differs.  Each
+/// 512-byte block is first compared whole with memcmp (dispatched by libc
+/// to the host's widest vector unit); only a block that differs is scanned
+/// word by word into its mask.  Most blocks of most pages are unchanged.
 void scan_changed_words(const std::uint8_t* twin, const std::uint8_t* cur,
                         std::uint64_t mask[kMaskWords]) {
   for (std::size_t blk = 0; blk < kMaskWords; ++blk) {
-    const std::uint8_t* a = twin + blk * 64 * kWordSize;
-    const std::uint8_t* b = cur + blk * 64 * kWordSize;
+    const std::uint8_t* a = twin + blk * kBlockBytes;
+    const std::uint8_t* b = cur + blk * kBlockBytes;
+    if (std::memcmp(a, b, kBlockBytes) == 0) {
+      mask[blk] = 0;
+      continue;
+    }
     std::uint64_t m = 0;
 #ifdef ANOW_DIFF_SSE2
     for (std::size_t j = 0; j < 64; j += 2) {
@@ -63,6 +72,12 @@ std::size_t encoded_size(const std::uint64_t mask[kMaskWords]) {
   std::uint64_t carry = 0;  // bit 63 of the previous block
   for (std::size_t blk = 0; blk < kMaskWords; ++blk) {
     const std::uint64_t m = mask[blk];
+    // Skipped rather than counted: without -mpopcnt each popcount is a
+    // libgcc call.
+    if (m == 0) {
+      carry = 0;
+      continue;
+    }
     changed += static_cast<std::size_t>(std::popcount(m));
     runs += static_cast<std::size_t>(std::popcount(m & ~((m << 1) | carry)));
     carry = m >> 63;

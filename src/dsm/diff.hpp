@@ -7,13 +7,14 @@
 // process modified during the interval; applying the diff to any other copy
 // merges those modifications.
 //
-// The encoder is a two-phase block scan (DESIGN.md §10): phase one compares
-// the pages 16 bytes at a time (SSE2 when available, u64 loads otherwise)
-// into a 512-bit changed-word bitmask; phase two sizes the output exactly
-// from the mask's popcount and run count, then walks the runs with ctz and
-// bulk-copies their payloads.  `make_diff_scalar` keeps the original
-// word-at-a-time reference implementation compiled in every build as the
-// differential-test oracle.
+// The encoder is a two-phase block scan (DESIGN.md §10): phase one skips
+// each 512-byte block that memcmp finds equal and compares the others 16
+// bytes at a time (SSE2 when available, u64 loads otherwise) into a 512-bit
+// changed-word bitmask; phase two sizes the output exactly from the mask's
+// popcount and run count, then walks the runs with ctz and bulk-copies
+// their payloads.  `make_diff_scalar` keeps the original word-at-a-time
+// reference implementation compiled in every build as the differential-test
+// oracle.
 #pragma once
 
 #include <cstddef>

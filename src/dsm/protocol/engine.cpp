@@ -1,6 +1,7 @@
 #include "dsm/protocol/engine.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "dsm/protocol/home_lrc_engine.hpp"
 #include "dsm/protocol/lrc_engine.hpp"
@@ -55,6 +56,22 @@ void ConsistencyEngine::attach_node(Uid self, std::uint8_t* region,
                                                      *dir.hint_map, self_));
   }
   on_attach_node();
+}
+
+void ConsistencyEngine::make_twin(PageId p) {
+  PageMeta& pm = page(p);
+  ANOW_CHECK(pm.twin == nullptr);
+  // Not value-initialized: the copy overwrites every byte.
+  pm.twin = std::make_unique_for_overwrite<std::uint8_t[]>(kPageSize);
+  std::memcpy(pm.twin.get(), region_ + page_base(p), kPageSize);
+  twin_bytes_ += static_cast<std::int64_t>(kPageSize);
+}
+
+void ConsistencyEngine::drop_twin(PageId p) {
+  PageMeta& pm = page(p);
+  pm.twin.reset();
+  pm.twin_iseq = 0;
+  twin_bytes_ -= static_cast<std::int64_t>(kPageSize);
 }
 
 DirSlice* ConsistencyEngine::dir_slice(int shard) {

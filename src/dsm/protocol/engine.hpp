@@ -385,6 +385,12 @@ class ConsistencyEngine {
     access_transitions_.push_back(p);
   }
 
+  /// Snapshots `p`'s current contents as its twin (it must have none) and
+  /// counts it in twin_bytes_.
+  void make_twin(PageId p);
+  /// Frees `p`'s twin, clears its interval tag and uncounts it.
+  void drop_twin(PageId p);
+
   const DsmConfig* config_ = nullptr;
   util::StatsRegistry* stats_ = nullptr;
 

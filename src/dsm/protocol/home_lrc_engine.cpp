@@ -57,10 +57,7 @@ void HomeLrcEngine::declare_write(PageId p) {
     // data already lives where readers fetch from).  Hints are stable
     // within an interval — home changes only ride fork/release boundaries
     // — so this decision cannot be invalidated before the flush.
-    ANOW_CHECK(pm.twin == nullptr);
-    pm.twin = std::make_unique<std::uint8_t[]>(kPageSize);
-    std::memcpy(pm.twin.get(), region_ + page_base(p), kPageSize);
-    twin_bytes_ += static_cast<std::int64_t>(kPageSize);
+    make_twin(p);
   }
   pm.dirty = true;
   dirty_pages_.push_back(p);
@@ -159,9 +156,7 @@ std::vector<HomeFlushPlan> HomeLrcEngine::plan_home_flush() {
     // An empty diff still travels: the home's applied map must cover the
     // interval so readers' coverage checks pass.
     fp.diff = make_diff(pm.twin.get(), region_ + page_base(o.page));
-    pm.twin.reset();
-    pm.twin_iseq = 0;
-    twin_bytes_ -= static_cast<std::int64_t>(kPageSize);
+    drop_twin(o.page);
     (*ctr_diffs_created_)++;
     if (plans.empty() || plans.back().home != o.home) {
       plans.push_back({o.home, {}});

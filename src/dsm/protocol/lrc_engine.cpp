@@ -58,9 +58,7 @@ void LrcEngine::materialize_diff(PageId p) {
       make_diff_arena(pm.twin.get(), region_ + page_base(p), diff_arena_);
   archive_bytes_ += static_cast<std::int64_t>(diff.size);
   own_diffs_[static_cast<std::size_t>(p)].push_back({pm.twin_iseq, diff});
-  pm.twin.reset();
-  pm.twin_iseq = 0;
-  twin_bytes_ -= static_cast<std::int64_t>(kPageSize);
+  drop_twin(p);
   (*ctr_diffs_created_)++;
 }
 
@@ -83,12 +81,7 @@ bool LrcEngine::flush_lazy_twin(PageId p) {
 
 void LrcEngine::declare_write(PageId p) {
   PageMeta& pm = page(p);
-  if (protocol_of(p) == Protocol::kMultiWriter) {
-    ANOW_CHECK(pm.twin == nullptr);
-    pm.twin = std::make_unique<std::uint8_t[]>(kPageSize);
-    std::memcpy(pm.twin.get(), region_ + page_base(p), kPageSize);
-    twin_bytes_ += static_cast<std::int64_t>(kPageSize);
-  }
+  if (protocol_of(p) == Protocol::kMultiWriter) make_twin(p);
   pm.dirty = true;
   dirty_pages_.push_back(p);
   mark_access(p);
@@ -239,12 +232,7 @@ bool LrcEngine::prepare_serve(PageId p) {
     pm.exclusive_rw = false;
     mark_access(p);
     if (!pm.dirty && maybe_mid_write) {
-      if (protocol_of(p) == Protocol::kMultiWriter) {
-        ANOW_CHECK(pm.twin == nullptr);
-        pm.twin = std::make_unique<std::uint8_t[]>(kPageSize);
-        std::memcpy(pm.twin.get(), region_ + page_base(p), kPageSize);
-        twin_bytes_ += static_cast<std::int64_t>(kPageSize);
-      }
+      if (protocol_of(p) == Protocol::kMultiWriter) make_twin(p);
       pm.dirty = true;
       dirty_pages_.push_back(p);
     }
@@ -382,9 +370,7 @@ void LrcEngine::gc_commit_node(const OwnerDelta& delta) {
     if (pm.twin != nullptr) {
       // Lazy twin whose diff was never requested; after the commit nobody
       // can ever need it (all stale copies are dropped below).
-      pm.twin.reset();
-      pm.twin_iseq = 0;
-      twin_bytes_ -= static_cast<std::int64_t>(kPageSize);
+      drop_twin(p);
     }
     if (pm.owner_hint == self_) {
       ANOW_CHECK_MSG(pm.have_copy && pm.pending.empty(),

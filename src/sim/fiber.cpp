@@ -31,6 +31,70 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+#if !defined(__x86_64__)
+#error "sim::Fiber: port anow_fiber_switch and anow_fiber_start (fiber.cpp)"
+#endif
+
+// anow_fiber_switch(void** save_sp, void* load_sp) saves the callee-saved
+// state of the System V x86-64 ABI — rbp, rbx, r12-r15, MXCSR and the x87
+// control word — on the current stack, stores the stack pointer through
+// save_sp, then pops the same layout (SwitchFrame below) off load_sp and
+// returns into that context.  Caller-saved registers need no saving: to
+// the compiler this is an ordinary call.
+//
+// anow_fiber_start is where a new fiber's first frame returns to: it calls
+// r13 (Fiber::entry) with r12 (the Fiber*).  Its CFI marks the return
+// address undefined, so unwinders stop at the root of the fiber's stack.
+asm(R"(
+  .pushsection .text
+  .globl anow_fiber_switch
+  .hidden anow_fiber_switch
+  .type anow_fiber_switch, @function
+  .p2align 4
+anow_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr 8(%rsp)
+  fldcw (%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size anow_fiber_switch, .-anow_fiber_switch
+
+  .globl anow_fiber_start
+  .hidden anow_fiber_start
+  .type anow_fiber_start, @function
+  .p2align 4
+anow_fiber_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size anow_fiber_start, .-anow_fiber_start
+  .popsection
+)");
+
+extern "C" {
+void anow_fiber_switch(void** save_sp, void* load_sp);
+void anow_fiber_start();
+}
+
 namespace anow::sim {
 
 namespace {
@@ -46,6 +110,18 @@ std::uint8_t* stack_base(void* map) {
 /// The calling thread's exception state, viewed through its ABI layout.
 void* eh_globals() { return abi::__cxa_get_globals(); }
 
+/// What anow_fiber_switch leaves on a suspended stack, lowest address
+/// first.
+struct SwitchFrame {
+  std::uint16_t x87_cw;
+  std::uint16_t pad0[3];
+  std::uint32_t mxcsr;
+  std::uint32_t pad1;
+  std::uint64_t r15, r14, r13, r12, rbx, rbp;
+  void (*ret)();
+};
+static_assert(sizeof(SwitchFrame) == 72);
+
 }  // namespace
 
 Fiber::Fiber(Simulator& sim, std::string name, Body body)
@@ -58,14 +134,21 @@ Fiber::Fiber(Simulator& sim, std::string name, Body body)
   if (!guarded) munmap(map_, kMapBytes);
   ANOW_CHECK_MSG(guarded, "fiber guard page mprotect failed");
 
-  ANOW_CHECK(getcontext(&ctx_) == 0);
-  ctx_.uc_stack.ss_sp = stack_base(map_);
-  ctx_.uc_stack.ss_size = kStackBytes;
-  ctx_.uc_link = nullptr;  // entry() never returns
-  const auto self = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::entry), 2,
-              static_cast<unsigned int>(self),
-              static_cast<unsigned int>(self >> 32));
+  // The first resume pops this frame and returns into anow_fiber_start
+  // with rsp 16 bytes below the (page-aligned) stack top, so its call
+  // enters entry() with the ABI's alignment.  rbp = 0 ends the
+  // frame-pointer chain; the FP control state is the constructing
+  // thread's.
+  auto* frame = reinterpret_cast<SwitchFrame*>(stack_base(map_) +
+                                               kStackBytes - 16 -
+                                               sizeof(SwitchFrame));
+  *frame = SwitchFrame{};
+  asm volatile("fnstcw %0" : "=m"(frame->x87_cw));
+  asm volatile("stmxcsr %0" : "=m"(frame->mxcsr));
+  frame->r13 = reinterpret_cast<std::uint64_t>(&Fiber::entry);
+  frame->r12 = reinterpret_cast<std::uint64_t>(this);
+  frame->ret = &anow_fiber_start;
+  sp_ = frame;
 #if defined(ANOW_FIBER_TSAN)
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -88,13 +171,7 @@ Fiber::~Fiber() {
   munmap(map_, kMapBytes);
 }
 
-void Fiber::entry(unsigned int lo, unsigned int hi) {
-  const std::uint64_t bits = (std::uint64_t{hi} << 32) | lo;
-  Fiber* self = nullptr;
-  static_assert(sizeof(self) == sizeof(bits));
-  std::memcpy(&self, &bits, sizeof(self));
-  self->fiber_main();
-}
+void Fiber::entry(Fiber* self) { self->fiber_main(); }
 
 void Fiber::fiber_main() {
   switched_in();
@@ -128,7 +205,7 @@ void Fiber::resume() {
   void* fake_stack = nullptr;
   __sanitizer_start_switch_fiber(&fake_stack, stack_base(map_), kStackBytes);
 #endif
-  ANOW_CHECK(swapcontext(&caller_, &ctx_) == 0);
+  anow_fiber_switch(&caller_sp_, sp_);
 #if defined(ANOW_FIBER_ASAN)
   __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #endif
@@ -161,7 +238,7 @@ void Fiber::switch_out([[maybe_unused]] bool exiting) {
   __sanitizer_start_switch_fiber(exiting ? nullptr : &asan_fake_stack_,
                                  caller_stack_, caller_stack_bytes_);
 #endif
-  ANOW_CHECK(swapcontext(&ctx_, &caller_) == 0);
+  anow_fiber_switch(&sp_, caller_sp_);
 }
 
 }  // namespace anow::sim

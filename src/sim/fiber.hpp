@@ -7,19 +7,24 @@
 // while keeping the whole simulation logically single-threaded and therefore
 // deterministic.
 //
-// The whole simulation runs on the caller's thread: a switch is one
-// swapcontext (register save/restore plus the signal-mask call), with no
-// kernel scheduling and no cross-thread publication.  Each stack is 8 MiB,
-// reserved with MAP_NORESERVE so only touched pages are committed, above a
-// PROT_NONE guard page — the same shape as a default pthread stack.
+// The whole simulation runs on the caller's thread: a switch is one call to
+// a small x86-64 routine (anow_fiber_switch in fiber.cpp) that saves the
+// callee-saved registers, MXCSR and the x87 control word on the current
+// stack and pops the same set off the other one.  That is the state libc's
+// user-context switch keeps apart from the signal mask, whose save and
+// restore cost that switch a syscall each time.  No syscall, no kernel
+// scheduling, no cross-thread publication.  Each stack is 8 MiB, reserved
+// with MAP_NORESERVE so only touched pages are committed, above a PROT_NONE
+// guard page — the same shape as a default pthread stack.  A new fiber
+// starts from a hand-built first frame that enters its body with the ABI's
+// 16-byte stack alignment and the constructing thread's MXCSR and x87
+// control word.
 //
 // Per-thread runtime state that a blocked body must keep as its own is
 // switched with the stack: the C++ caught-exception stack (so a fiber parked
 // inside a catch block still rethrows its own exception), and the ASan/TSan
 // notion of the current stack when those sanitizers are on.
 #pragma once
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <exception>
@@ -63,8 +68,8 @@ class Fiber {
     unsigned int uncaught = 0;
   };
 
-  /// makecontext entry point; the Fiber* arrives split into two ints.
-  static void entry(unsigned int lo, unsigned int hi);
+  /// First-frame entry point, called on the fiber's own stack.
+  static void entry(Fiber* self);
   void fiber_main();
   /// Scheduler side: lets the fiber run; returns once it parks or finishes.
   void resume();
@@ -86,10 +91,10 @@ class Fiber {
   bool done_ = false;
   std::exception_ptr error_;
 
-  void* map_ = nullptr;  // guard page + stack
-  ucontext_t ctx_{};     // the fiber's saved context
-  ucontext_t caller_{};  // whoever last resumed it
-  EhGlobals eh_;         // the fiber's exception state while switched out
+  void* map_ = nullptr;        // guard page + stack
+  void* sp_ = nullptr;         // the fiber's saved stack pointer
+  void* caller_sp_ = nullptr;  // whoever last resumed it
+  EhGlobals eh_;  // the fiber's exception state while switched out
 
   // Sanitizer bookkeeping (unused unless built with ASan / TSan).
   void* asan_fake_stack_ = nullptr;

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -112,6 +113,28 @@ TEST(Checkpoint, TakeCollectsPagesAndChargesTime) {
   // Disk write of a ~2 MB image at 8.1 MB/s is ~0.25 s.
   EXPECT_GT(after - before, sim::from_seconds(0.1));
   EXPECT_EQ(unpack<std::int64_t>(img.app_state), 5);
+}
+
+TEST(Checkpoint, RefusedUpFrontUnderTheRealBackend) {
+  sim::Cluster cluster({}, 1);
+  DsmConfig cfg = small_config();
+  cfg.backend = dsm::BackendKind::kReal;
+  DsmSystem sys(cluster, cfg);
+  Checkpointer ckpt(sys);
+  sys.start(1);
+  std::string message;
+  sys.run([&](DsmProcess&) {
+    try {
+      ckpt.take({});
+    } catch (const util::CheckError& e) {
+      message = e.what();
+    }
+  });
+  EXPECT_NE(message.find("checkpointing is simulator-only"),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(ckpt.stats().checkpoints_taken, 0);
+  EXPECT_EQ(sys.stats().counter_value("dsm.gc_runs"), 0);
 }
 
 TEST(Checkpoint, RecoveryResumesAndMatchesUninterruptedRun) {

@@ -369,6 +369,48 @@ TEST_P(DiffPropertyTest, VectorizedMatchesScalarReference) {
       }
       check_pair(twin, cur, "long spanning run");
     }
+    // The scanner skips each 64-word block that compares equal whole; the
+    // shapes below sit on the edges of that early-out.
+    constexpr std::size_t kBlocks = kWordsPerPage / 64;
+    for (std::size_t blk = 0; blk < kBlocks; ++blk) {
+      // Exactly one changed word, at the first or the last word of a block.
+      for (const std::size_t w : {blk * 64, blk * 64 + 63}) {
+        Page cur = twin;
+        cur[w * kWordSize + rng.next_below(kWordSize)] ^= 0x81;
+        check_pair(twin, cur, "one word at a block edge");
+      }
+      if (blk + 2 < kBlocks) {
+        // The last word of one block and the first of the block after
+        // next: no run may carry across the equal block between them.
+        Page cur = twin;
+        cur[(blk * 64 + 63) * kWordSize] ^= 0x24;
+        cur[(blk + 2) * 64 * kWordSize] ^= 0x24;
+        check_pair(twin, cur, "block edges around an equal block");
+      }
+    }
+    {
+      // A run straddling a block boundary: both blocks differ, and the run
+      // leaves one block's mask through bit 63 and enters the next at bit 0.
+      Page cur = twin;
+      const std::size_t boundary = 64 * (1 + rng.next_below(kBlocks - 1));
+      const std::size_t before = 1 + rng.next_below(8);
+      const std::size_t after = 1 + rng.next_below(8);
+      for (std::size_t w = boundary - before; w < boundary + after; ++w) {
+        cur[w * kWordSize + 4] ^= 0x42;
+      }
+      check_pair(twin, cur, "run straddling a block boundary");
+    }
+    {
+      // All blocks equal but one, whose words change at random (at least
+      // one of them).
+      Page cur = twin;
+      const std::size_t blk = rng.next_below(kBlocks);
+      for (std::size_t w = blk * 64; w < blk * 64 + 64; ++w) {
+        if (rng.next_bool(0.5)) cur[w * kWordSize] ^= 0x18;
+      }
+      cur[(blk * 64 + rng.next_below(64)) * kWordSize + 3] ^= 0x7E;
+      check_pair(twin, cur, "all blocks equal but one");
+    }
   }
 }
 

@@ -1,6 +1,9 @@
 // Unit tests for the discrete-event simulator and fiber scheduling.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cmath>
+#include <cstdint>
 #include <exception>
 #include <fstream>
 #include <memory>
@@ -329,6 +332,73 @@ TEST(Simulator, FibersParkedInCatchBlocksKeepTheirOwnExceptions) {
                                            "B sees B", "B rethrew B"}));
   EXPECT_EQ(std::current_exception(), nullptr);
   EXPECT_EQ(std::uncaught_exceptions(), 0);
+}
+
+TEST(Simulator, FibersKeepTheirOwnFloatingPointRoundingMode) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  // nearbyint rounds by the SSE mode (MXCSR); fegetround reads the x87
+  // control word.  1.5 rounds to 2 to nearest and to 1 downward.
+  volatile double one_and_a_half = 1.5;
+  struct Seen {
+    int mode = -1;
+    double rounded = 0.0;
+  };
+  auto look = [&] {
+    return Seen{std::fegetround(), std::nearbyint(one_and_a_half)};
+  };
+  Seen a_after, b_sees, scheduler_sees;
+  {
+    Simulator sim;
+    WaitPoint a_go;
+    // A switches to FE_DOWNWARD and parks; B and then an event handler on
+    // the scheduler run while A is parked; then A resumes and finishes
+    // without restoring the mode.
+    sim.spawn("A", [&] {
+      std::fesetround(FE_DOWNWARD);
+      sim.wait(a_go, "rounding");
+      a_after = look();
+    });
+    sim.spawn("B", [&] {
+      b_sees = look();
+      sim.signal(a_go);
+    });
+    sim.at(0, [&] { scheduler_sees = look(); });
+    sim.run();
+    EXPECT_TRUE(sim.all_fibers_done());
+  }
+  const Seen after_run = look();
+  std::fesetround(FE_TONEAREST);
+  EXPECT_EQ(a_after.mode, FE_DOWNWARD);
+  EXPECT_EQ(a_after.rounded, 1.0);
+  EXPECT_EQ(b_sees.mode, FE_TONEAREST);
+  EXPECT_EQ(b_sees.rounded, 2.0);
+  EXPECT_EQ(scheduler_sees.mode, FE_TONEAREST);
+  EXPECT_EQ(scheduler_sees.rounded, 2.0);
+  EXPECT_EQ(after_run.mode, FE_TONEAREST);
+  EXPECT_EQ(after_run.rounded, 2.0);
+}
+
+/// Out of line, so its frame is laid out against the compiler's assumption
+/// of a 16-byte-aligned stack at every call.
+[[gnu::noinline]] std::uintptr_t aligned_local_address() {
+  alignas(16) volatile char buf[16];
+  buf[0] = 1;
+  return reinterpret_cast<std::uintptr_t>(&buf[0]);
+}
+
+TEST(Simulator, FiberLocalsGetTheirDeclaredAlignment) {
+  Simulator sim;
+  std::uintptr_t body_local = 1;
+  std::uintptr_t callee_local = 1;
+  sim.spawn("aligned", [&] {
+    alignas(16) volatile char buf[16];
+    buf[0] = 1;
+    body_local = reinterpret_cast<std::uintptr_t>(&buf[0]);
+    callee_local = aligned_local_address();
+  });
+  sim.run();
+  EXPECT_EQ(body_local % 16, 0u);
+  EXPECT_EQ(callee_local % 16, 0u);
 }
 
 }  // namespace
