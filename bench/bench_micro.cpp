@@ -6,6 +6,7 @@
 //   4. handling multiple adapt events at one adaptation point is much
 //      cheaper than handling them at successive points;
 //   5. repeated adaptations get cheaper (only accessed pages move).
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -44,16 +45,43 @@ struct PrimitiveResult {
   double ops_per_s() const { return seconds > 0 ? ops / seconds : 0.0; }
 };
 
-/// make_diff/apply_diff throughput over randomized pages (~64 scattered
-/// dirty words, the protocol's typical false-sharing shape).
-std::pair<PrimitiveResult, PrimitiveResult> diff_throughput() {
+double pass_seconds(const PrimitiveResult& r) { return r.seconds; }
+template <typename Result>
+double pass_seconds(const Result& r) {
+  return r.prim.seconds;
+}
+
+/// Steady timing for one primitive.  A single pass of most primitives takes
+/// only a few milliseconds, where one descheduling or a cold cache moves the
+/// figure by 2-4x, so every primitive runs one untimed warm-up pass and then
+/// kRepeats timed passes, and reports the pass with the median wall time.
+/// `pass` runs the whole primitive once (its own setup is outside its timed
+/// loop) and returns a PrimitiveResult or a struct holding one as `prim`.
+template <typename Pass>
+auto median_of_repeats(Pass pass) {
+  constexpr int kRepeats = 5;
+  pass();  // warm-up
+  std::vector<decltype(pass())> runs;
+  for (int i = 0; i < kRepeats; ++i) runs.push_back(pass());
+  std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
+    return pass_seconds(a) < pass_seconds(b);
+  });
+  return runs[kRepeats / 2];
+}
+
+/// Randomized twin/page pairs (~64 scattered dirty words, the protocol's
+/// typical false-sharing shape) and their diffs.
+struct DiffCorpus {
+  static constexpr int kVariants = 64;
+  std::vector<std::vector<std::uint8_t>> twins, curs;
+  std::vector<dsm::DiffBytes> diffs;
+};
+
+DiffCorpus diff_corpus() {
   using namespace dsm;
   util::Rng rng(20260728);
-  constexpr int kVariants = 64;
-  constexpr int kIters = 4000;
-  std::vector<std::vector<std::uint8_t>> twins, curs;
-  std::vector<DiffBytes> diffs;
-  for (int v = 0; v < kVariants; ++v) {
+  DiffCorpus c;
+  for (int v = 0; v < DiffCorpus::kVariants; ++v) {
     std::vector<std::uint8_t> twin(kPageSize), cur;
     for (auto& b : twin) b = static_cast<std::uint8_t>(rng.next_u64());
     cur = twin;
@@ -62,28 +90,44 @@ std::pair<PrimitiveResult, PrimitiveResult> diff_throughput() {
       const auto w = rng.next_below(kWordsPerPage);
       cur[w * kWordSize] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
     }
-    twins.push_back(std::move(twin));
-    curs.push_back(std::move(cur));
+    c.diffs.push_back(make_diff(twin.data(), cur.data()));
+    c.twins.push_back(std::move(twin));
+    c.curs.push_back(std::move(cur));
   }
+  return c;
+}
+
+constexpr int kDiffIters = 4000;
+
+/// make_diff throughput over the corpus.
+PrimitiveResult diff_make_throughput() {
+  const DiffCorpus c = diff_corpus();
   PrimitiveResult make;
-  auto t0 = Clock::now();
-  for (int i = 0; i < kIters; ++i) {
-    DiffBytes d = make_diff(twins[i % kVariants].data(),
-                            curs[i % kVariants].data());
-    if (i < kVariants) diffs.push_back(std::move(d));
+  std::size_t bytes = 0;
+  const auto t0 = Clock::now();
+  for (int i = 0; i < kDiffIters; ++i) {
+    bytes += dsm::make_diff(c.twins[i % DiffCorpus::kVariants].data(),
+                            c.curs[i % DiffCorpus::kVariants].data())
+                 .size();
   }
   make.seconds = seconds_since(t0);
-  make.ops = kIters;
+  make.ops = kDiffIters;
+  ANOW_CHECK_MSG(bytes > 0, "dirty pages produced empty diffs");
+  return make;
+}
 
+/// apply_diff throughput over the corpus's diffs.
+PrimitiveResult diff_apply_throughput() {
+  const DiffCorpus c = diff_corpus();
   PrimitiveResult apply;
-  std::vector<std::uint8_t> target = twins[0];
-  t0 = Clock::now();
-  for (int i = 0; i < kIters; ++i) {
-    apply_diff(target.data(), diffs[i % kVariants]);
+  std::vector<std::uint8_t> target = c.twins[0];
+  const auto t0 = Clock::now();
+  for (int i = 0; i < kDiffIters; ++i) {
+    dsm::apply_diff(target.data(), c.diffs[i % DiffCorpus::kVariants]);
   }
   apply.seconds = seconds_since(t0);
-  apply.ops = kIters;
-  return {make, apply};
+  apply.ops = kDiffIters;
+  return apply;
 }
 
 /// make_diff throughput where the twin equals the page (a write-declared
@@ -480,13 +524,14 @@ std::map<std::string, double> run_primitives_and_write_json() {
       "Hot-path primitive throughput (host wall-clock)",
       "Ops/sec through the consistency engine's hot paths; written to "
       "BENCH_micro.json as the perf baseline for future PRs.");
-  const auto [diff_make, diff_apply] = diff_throughput();
-  const auto diff_make_clean = diff_make_clean_throughput();
-  const auto envelope = envelope_pack_unpack_throughput();
-  const auto sim_loop = sim_event_loop_throughput();
-  const auto fiber_switch = fiber_switch_throughput();
-  const auto page_fetch = page_fetch_throughput();
-  const auto barrier = barrier_round_throughput();
+  const auto diff_make = median_of_repeats(diff_make_throughput);
+  const auto diff_make_clean = median_of_repeats(diff_make_clean_throughput);
+  const auto diff_apply = median_of_repeats(diff_apply_throughput);
+  const auto envelope = median_of_repeats(envelope_pack_unpack_throughput);
+  const auto sim_loop = median_of_repeats(sim_event_loop_throughput);
+  const auto fiber_switch = median_of_repeats(fiber_switch_throughput);
+  const auto page_fetch = median_of_repeats(page_fetch_throughput);
+  const auto barrier = median_of_repeats(barrier_round_throughput);
   // Control-plane sweep: flat vs combining tree at fanout 4 and 8, small
   // and large teams (at 8 procs fanout 8 the tree degenerates to flat —
   // the byte-identity guard rides the regression gate for free).
@@ -510,16 +555,20 @@ std::map<std::string, double> run_primitives_and_write_json() {
     }
   }
   for (auto& point : tree_sweep) {
-    point.result =
-        barrier_round_tree_throughput(point.nprocs, point.topo, point.fanout);
+    point.result = median_of_repeats([&point] {
+      return barrier_round_tree_throughput(point.nprocs, point.topo,
+                                           point.fanout);
+    });
   }
-  const auto migration = home_migration_round();
+  const auto migration = median_of_repeats(home_migration_round);
   // Owner-directory shard sweep: the same first-touch fan-out against the
   // unsharded master-held map and against 8 shard holders.
   const int dir_shard_counts[] = {1, 4, 8};
   std::vector<std::pair<int, DirFanResult>> dir_fans;
   for (const int s : dir_shard_counts) {
-    dir_fans.emplace_back(s, dir_fetch_fan(s));
+    dir_fans.emplace_back(s, median_of_repeats([s] {
+                            return dir_fetch_fan(s);
+                          }));
   }
 
   util::Table t({"Primitive", "Ops", "Wall (s)", "Ops/sec", "Sim (ms)",

@@ -145,6 +145,12 @@ std::int64_t segment_wire_bytes(const Segment& seg) {
 
 bool segment_is_consistency_traffic(const Segment& seg) {
   switch (segment_kind(seg)) {
+    case SegmentKind::kPageRequest: {
+      const auto& req = std::get<PageRequest>(seg);
+      return req.resolves && req.forward_hops == 0;
+    }
+    case SegmentKind::kPageReply:
+      return std::get<PageReply>(seg).resolves;
     case SegmentKind::kDiffRequest:
     case SegmentKind::kDiffReply:
     case SegmentKind::kHomeFlush:

@@ -30,6 +30,11 @@ struct PageRequest {
   PageId page = -1;
   std::int32_t forward_hops = 0;
   std::uint64_t cookie = 0;  // reply rendezvous at the requester
+  /// The fetch resolves pending notices (an LRC single-writer or home-based
+  /// refetch) rather than distributing initial data, so it counts as
+  /// consistency traffic (segment_is_consistency_traffic).  Accounting
+  /// metadata only: it adds nothing to the wire size.
+  bool resolves = false;
 };
 
 struct PageReply {
@@ -37,6 +42,7 @@ struct PageReply {
   std::vector<std::uint8_t> data;  // kPageSize bytes
   AppliedMap applied;
   std::uint64_t cookie = 0;
+  bool resolves = false;  // copied from the request
 };
 
 /// Intervals of one page wanted from the serving creator.
@@ -351,10 +357,11 @@ const char* segment_kind_name(SegmentKind kind);
 /// header (the header is charged once per envelope, not per segment).
 std::int64_t segment_wire_bytes(const Segment& seg);
 
-/// Segment kinds that exist purely to move modifications (diff fetch
-/// rounds, home flushes).  Together with full-page refetches that resolve
-/// pending notices (counted at the fetch site, where the intent is known),
-/// this forms the engine-comparison consistency-traffic metric.
+/// Segments that exist purely to move modifications: diff fetch rounds,
+/// home flushes, and full-page fetches that resolve pending notices
+/// (`resolves`; a request counts on its first hop only, so a forwarded one
+/// is charged once).  This is the engine-comparison consistency-traffic
+/// metric.
 bool segment_is_consistency_traffic(const Segment& seg);
 
 /// Control-plane segment kinds: the collective machinery (barrier

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iostream>
+#include <optional>
 
 #include "dsm/debug.hpp"
 #include "dsm/system.hpp"
@@ -77,7 +78,6 @@ DsmProcess::DsmProcess(DsmSystem& system, Uid uid, sim::HostId host)
   ctr_faults_write_ = stats.handle("dsm.faults.write");
   ctr_page_fetches_ = stats.handle("dsm.page_fetches");
   ctr_page_forwards_ = stats.handle("dsm.page_forwards");
-  ctr_consistency_bytes_ = stats.handle("dsm.consistency_traffic_bytes");
   ctr_barrier_waits_ = stats.handle("dsm.barrier_waits");
   ctr_lock_acquires_ = stats.handle("dsm.lock_acquires");
   ctr_home_flushes_ = stats.handle("dsm.home_flushes");
@@ -111,15 +111,13 @@ void DsmProcess::read_range(GAddr addr, std::size_t len) {
   // application promises to touch — the same contract the fault machinery
   // itself trusts — so it is the read set of the current segment.
   if (race_ != nullptr) race_->record_read(uid_, addr, len);
-  if (channel_.mode() == PiggybackMode::kAggressive && last - first > 1) {
-    fault_in_range(first, last);
-    heap_sync_all();
-    return;
-  }
-  for (PageId p = first; p < last; ++p) {
-    if (!engine_->page(p).is_valid()) {
-      (*ctr_faults_read_)++;
-      fault_in(p);
+  if (channel_.mode() == PiggybackMode::kAggressive) {
+    read_fault_range(first, last);
+  } else {
+    for (PageId p = first; p < last; ++p) {
+      if (!engine_->page(p).is_valid()) {
+        validate_pages({&p, 1}, ctr_faults_read_);
+      }
     }
   }
   heap_sync_all();
@@ -135,19 +133,17 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
   // single-writer pages make none), while the declaration is always
   // present and is what the checksums already depend on being accurate.
   if (race_ != nullptr) race_->record_write(uid_, addr, len);
-  if (channel_.mode() == PiggybackMode::kAggressive && last - first > 1) {
+  if (channel_.mode() == PiggybackMode::kAggressive) {
     // The read side of a multi-page write fault batches exactly like
-    // read_range: full-page fetch requests share one envelope per source,
-    // diff fetches one round per creator across the span.  The per-page
-    // loop below then only write-declares (a page can still be invalidated
-    // by a notice arriving while a later page's declaration parks the
-    // fiber, so the fault path stays as a fallback).
-    fault_in_range(first, last);
+    // read_range.  The per-page loop below then only write-declares (a
+    // page can still be invalidated by a notice arriving while a later
+    // page's declaration parks the fiber, so the fault stays as a
+    // fallback).
+    read_fault_range(first, last);
   }
   for (PageId p = first; p < last; ++p) {
     if (!engine_->page(p).is_valid()) {
-      (*ctr_faults_read_)++;
-      fault_in(p);
+      validate_pages({&p, 1}, ctr_faults_read_);
     }
     if (engine_->page(p).dirty) continue;  // already writable this interval
 
@@ -193,168 +189,121 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
 // Fault machinery
 // ---------------------------------------------------------------------------
 
-void DsmProcess::fetch_page_copy(PageId page, bool must_cover_pending) {
-  const Uid src = engine_->pick_page_source(page);
-  ANOW_CHECK_MSG(src != uid_,
-                 "page " << page << " owner hint points at self but no copy");
-  // A fetch that resolves pending notices exists purely to move
-  // modifications (LRC single-writer refetch, home-based refetch) — the
-  // same role as a diff-fetch round — and counts as consistency traffic;
-  // a first-touch fetch is initial data distribution and does not.
-  const bool resolves_invalidation = !engine_->page(page).pending.empty();
-  const std::uint64_t cookie = new_cookie();
-  Segment req = PageRequest{uid_, page, 0, cookie};
-  const std::int64_t req_wire =
-      kEnvelopeHeaderBytes + segment_wire_bytes(req);
-  Segment reply = rpc(src, std::move(req), cookie);
-  if (resolves_invalidation) {
-    *ctr_consistency_bytes_ +=
-        req_wire + kEnvelopeHeaderBytes + segment_wire_bytes(reply);
-  }
-  auto& pr = std::get<PageReply>(reply);
-  ANOW_CHECK(pr.page == page);
-  ANOW_CHECK(pr.data.size() == kPageSize);
-  engine_->install_copy(page, pr.data.data(), pr.applied,
-                        must_cover_pending);
-  system_.release_page_buffer(std::move(pr.data));
-  // `src` is the first hop; a forwarded request is served elsewhere
-  // (replies carry no sender, so the trace names the hop, not the server).
-  ANOW_PTRACE(page, "fetched full copy via " << src << " val="
-                        << *cptr<std::int64_t>(page_base(page)));
-}
-
-void DsmProcess::fault_in(PageId page) {
-  obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kFaultService);
-  // SIGSEGV dispatch + mprotect + bookkeeping on the faulting node.
-  compute(sim::to_seconds(system_.cluster().cost().fault_fixed));
-
-  if (!engine_->page(page).have_copy) {
-    // A home fetch covers every pending notice by construction.
-    fetch_page_copy(page, engine_->full_copy_covers_pending());
-  }
-  if (!engine_->page(page).pending.empty()) {
-    apply_pending_diffs(page);
-    ANOW_PTRACE(page, "applied diffs, val="
-                          << *cptr<std::int64_t>(page_base(page)));
-  }
-  ANOW_CHECK(engine_->page(page).is_valid());
-}
-
-void DsmProcess::fault_in_range(PageId first, PageId last) {
-  obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kFaultService);
-  // Collect the range's invalid pages up front so their full-page fetches
-  // can share envelopes (one request envelope per source, replies
-  // overlapped) and their diff fetches can share rounds (one request per
-  // creator across all pages, as the GC validation path already does).
-  std::vector<PageId> need;
+void DsmProcess::read_fault_range(PageId first, PageId last) {
+  fault_pages_.clear();
   for (PageId p = first; p < last; ++p) {
-    if (engine_->page(p).is_valid()) continue;
-    (*ctr_faults_read_)++;
-    compute(sim::to_seconds(system_.cluster().cost().fault_fixed));
-    need.push_back(p);
+    if (!engine_->page(p).is_valid()) fault_pages_.push_back(p);
   }
-  if (need.empty()) return;
+  validate_pages(fault_pages_, ctr_faults_read_);
+}
 
-  struct Want {
-    Uid src;
-    PageId page;
-    std::uint64_t cookie;
-    bool resolves;  // the fetch resolves pending notices
-  };
-  std::vector<Want> wants;
-  for (PageId p : need) {
-    if (engine_->page(p).have_copy) continue;
-    wants.push_back({engine_->pick_page_source(p), p, 0,
-                     !engine_->page(p).pending.empty()});
+std::int64_t DsmProcess::validate_pages(std::span<const PageId> pages,
+                                        util::StatsRegistry::Counter* faults,
+                                        bool fault_span) {
+  if (pages.empty()) return 0;
+  obs::ScopedSpan span(fault_span ? tracer_ : nullptr, uid_,
+                       obs::SpanKind::kFaultService);
+  const auto& cost = system_.cluster().cost();
+  // One trap per page: SIGSEGV dispatch + mprotect + bookkeeping on the
+  // faulting node, charged page by page so the deferred CPU flushes at the
+  // same points whatever the grouping.
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    if (faults != nullptr) (*faults)++;
+    compute(sim::to_seconds(cost.fault_fixed));
   }
-  if (!wants.empty()) {
-    std::sort(wants.begin(), wants.end(), [](const Want& a, const Want& b) {
-      if (a.src != b.src) return a.src < b.src;
-      return a.page < b.page;
-    });
-    flush_cpu();
-    auto& consistency = *ctr_consistency_bytes_;
-    for (std::size_t i = 0; i < wants.size(); ++i) {
-      Want& w = wants[i];
-      ANOW_CHECK_MSG(w.src != uid_, "page " << w.page
-                                            << " owner hint points at self "
-                                               "but no copy");
-      w.cookie = new_cookie();
-      register_reply(w.cookie);  // register before send
-      PageRequest req{uid_, w.page, 0, w.cookie};
-      if (w.resolves) {
-        // Accounting rule of §7: segments sharing an envelope count
-        // payload only; a source wanted for exactly one page sends a solo
-        // envelope and charges the header, as the unbatched path does —
-        // unless something is already staged for it (e.g. a join-barrier
-        // release held in the master's channel), which the request joins.
-        const bool solo = (i == 0 || wants[i - 1].src != w.src) &&
-                          (i + 1 == wants.size() ||
-                           wants[i + 1].src != w.src) &&
-                          !channel_.has_staged(w.src);
-        consistency += segment_wire_bytes(Segment{req}) +
-                       (solo ? kEnvelopeHeaderBytes : 0);
-      }
-      channel_.stage(w.src, req);
-    }
-    for (std::size_t i = 0; i < wants.size(); ++i) {
-      if (i + 1 == wants.size() || wants[i + 1].src != wants[i].src) {
-        channel_.flush(wants[i].src);
-      }
-    }
-    for (const auto& w : wants) {
-      PendingReply* pr = find_reply(w.cookie);
-      if (!pr->ready) {
-        system_.rt().wait(pr->wp, "page reply");
-      }
-      Segment seg = std::move(pr->seg);
-      const bool shared = pr->shared_envelope;
-      erase_reply(w.cookie);
-      auto& reply = std::get<PageReply>(seg);
-      ANOW_CHECK(reply.page == w.page);
-      ANOW_CHECK(reply.data.size() == kPageSize);
-      // Reply-side coalescing: replies to one batched request share an
-      // envelope, so only a solo reply charges the header (§7 rule).
-      if (w.resolves) {
-        consistency += segment_wire_bytes(seg) +
-                       (shared ? 0 : kEnvelopeHeaderBytes);
-      }
-      engine_->install_copy(w.page, reply.data.data(), reply.applied,
-                            engine_->full_copy_covers_pending());
-      system_.release_page_buffer(std::move(reply.data));
-      ANOW_PTRACE(w.page, "fetched full copy (batched) val="
-                              << *cptr<std::int64_t>(page_base(w.page)));
-    }
+  // Pages with no copy at all: full-page fetches, one request envelope per
+  // source.  A home fetch covers every pending notice by construction.
+  for (PageId p : pages) {
+    if (!engine_->page(p).have_copy) want_copy(p);
   }
+  fetch_wanted_copies(engine_->full_copy_covers_pending());
 
-  // Notices the installed copies did not cover: multi-writer pages share
-  // batched diff rounds; the rest (single-writer / home refetches) resolve
-  // page by page.
-  std::vector<PageId> multi_writer;
-  for (PageId p : need) {
+  // Notices the copies did not cover.  Home-engine and single-writer pages
+  // are refetched page by page: one full copy from the home (or the last
+  // writer) replaces the local one and covers every earlier notice.
+  // Multi-writer pages share batched diff rounds.
+  fault_multi_writer_.clear();
+  for (PageId p : pages) {
     if (engine_->page(p).pending.empty()) continue;
-    if (!engine_->full_copy_covers_pending() &&
-        engine_->protocol_of(p) == Protocol::kMultiWriter) {
-      multi_writer.push_back(p);
-    } else {
-      apply_pending_diffs(p);
+    if (!engine_->full_copy_covers_pending()) {
+      if (engine_->protocol_of(p) == Protocol::kMultiWriter) {
+        fault_multi_writer_.push_back(p);
+        continue;
+      }
+      // Our own un-diffed interval must be captured before the copy is
+      // replaced (it would otherwise be lost from our diff).
+      if (engine_->flush_lazy_twin(p)) {
+        obs::ScopedSpan make_span(tracer_, uid_, obs::SpanKind::kDiffMake);
+        compute(sim::to_seconds(cost.diff_create_time(kPageSize)));
+      }
     }
+    want_copy(p);
+    fetch_wanted_copies(/*must_cover_pending=*/true);
   }
-  resolve_multi_writer_pending(multi_writer);
-  for (PageId p : need) {
+  const std::int64_t rounds =
+      resolve_multi_writer_pending(fault_multi_writer_);
+  for (PageId p : pages) {
     ANOW_CHECK(engine_->page(p).is_valid());
   }
+  return rounds;
+}
+
+void DsmProcess::want_copy(PageId page) {
+  copy_wants_.push_back({engine_->pick_page_source(page), page, 0,
+                         !engine_->page(page).pending.empty()});
+}
+
+void DsmProcess::fetch_wanted_copies(bool must_cover_pending) {
+  if (copy_wants_.empty()) return;
+  std::sort(copy_wants_.begin(), copy_wants_.end(),
+            [](const CopyWant& a, const CopyWant& b) {
+              if (a.src != b.src) return a.src < b.src;
+              return a.page < b.page;
+            });
+  flush_cpu();
+  for (CopyWant& w : copy_wants_) {
+    ANOW_CHECK_MSG(w.src != uid_, "page " << w.page
+                                          << " owner hint points at self "
+                                             "but no copy");
+    w.cookie = new_cookie();
+    register_reply(w.cookie);  // register before send
+    channel_.stage(w.src, PageRequest{uid_, w.page, 0, w.cookie, w.resolves});
+  }
+  for (std::size_t i = 0; i < copy_wants_.size(); ++i) {
+    if (i + 1 == copy_wants_.size() ||
+        copy_wants_[i + 1].src != copy_wants_[i].src) {
+      channel_.flush(copy_wants_[i].src);
+    }
+  }
+  for (const CopyWant& w : copy_wants_) {
+    Segment seg = await_reply(w.cookie, "page reply");
+    auto& reply = std::get<PageReply>(seg);
+    ANOW_CHECK(reply.page == w.page);
+    ANOW_CHECK(reply.data.size() == kPageSize);
+    engine_->install_copy(w.page, reply.data.data(), reply.applied,
+                          must_cover_pending);
+    system_.release_page_buffer(std::move(reply.data));
+    // `src` is the first hop; a forwarded request is served elsewhere
+    // (replies carry no sender, so the trace names the hop, not the server).
+    ANOW_PTRACE(w.page, "fetched full copy via " << w.src << " val="
+                            << *cptr<std::int64_t>(page_base(w.page)));
+  }
+  copy_wants_.clear();
 }
 
 std::int64_t DsmProcess::resolve_multi_writer_pending(
     const std::vector<PageId>& pages) {
   if (pages.empty()) return 0;
   // Our own un-diffed intervals must be captured before remote diffs are
-  // merged (they would otherwise leak into our diffs).
+  // merged (they would otherwise leak into our diffs).  The span opens at
+  // the first page that has one, so a round without any opens none.
   {
-    obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kDiffMake);
+    std::optional<obs::ScopedSpan> make_span;
     for (PageId p : pages) {
       if (engine_->flush_lazy_twin(p)) {
+        if (!make_span) {
+          make_span.emplace(tracer_, uid_, obs::SpanKind::kDiffMake);
+        }
         compute(sim::to_seconds(
             system_.cluster().cost().diff_create_time(kPageSize)));
       }
@@ -389,48 +338,10 @@ std::vector<DiffReply> DsmProcess::fetch_diffs(
   std::vector<DiffReply> replies;
   replies.reserve(cookies.size());
   for (const std::uint64_t cookie : cookies) {
-    PendingReply* pr = find_reply(cookie);
-    if (!pr->ready) {
-      system_.rt().wait(pr->wp, "diff reply");
-    }
-    replies.push_back(std::move(std::get<DiffReply>(pr->seg)));
-    erase_reply(cookie);
+    replies.push_back(
+        std::move(std::get<DiffReply>(await_reply(cookie, "diff reply"))));
   }
   return replies;
-}
-
-void DsmProcess::apply_pending_diffs(PageId page) {
-  // Home-based engines: one full-page fetch from the home covers every
-  // pending notice, whatever the page's write-sharing protocol.
-  if (engine_->full_copy_covers_pending()) {
-    fetch_page_copy(page, /*must_cover_pending=*/true);
-    return;
-  }
-
-  // Our own un-diffed interval must be captured before remote diffs are
-  // merged into the local copy (they would otherwise leak into our diff).
-  if (engine_->flush_lazy_twin(page)) {
-    obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kDiffMake);
-    compute(sim::to_seconds(
-        system_.cluster().cost().diff_create_time(kPageSize)));
-  }
-
-  // Single-writer pages: one full-page fetch from the last writer replaces
-  // the local copy and covers every earlier notice.
-  if (engine_->protocol_of(page) == Protocol::kSingleWriter) {
-    fetch_page_copy(page, /*must_cover_pending=*/true);
-    return;
-  }
-
-  // Multi-writer: fetch the diffs for all pending notices, one batched
-  // request per creator, issued in parallel.
-  const auto plans = engine_->plan_diff_fetches(&page, 1);
-  const auto replies = fetch_diffs(plans);
-  obs::ScopedSpan apply_span(tracer_, uid_, obs::SpanKind::kDiffApply);
-  const std::int64_t applied_bytes =
-      engine_->apply_fetched_diffs(page, replies);
-  compute(sim::to_seconds(
-      system_.cluster().cost().diff_apply_time(applied_bytes)));
 }
 
 void DsmProcess::apply_owner_hints(const OwnerDelta& delta) {
@@ -438,8 +349,7 @@ void DsmProcess::apply_owner_hints(const OwnerDelta& delta) {
   // re-validates from the old home *before* the hints flip (its own hint
   // still names the old home, which keeps a complete copy).
   for (PageId p : engine_->pages_to_validate_before_delta(delta)) {
-    (*ctr_home_validation_faults_)++;
-    fault_in(p);
+    validate_pages({&p, 1}, ctr_home_validation_faults_);
   }
   for (const auto& [page, owner] : delta) {
     engine_->page(page).owner_hint = owner;
@@ -524,11 +434,7 @@ void DsmProcess::flush_homes(bool divert_master_to_tree) {
     system_.rt().sleep_for(staged_service);
   }
   for (const std::uint64_t cookie : cookies) {
-    PendingReply* pr = find_reply(cookie);
-    if (!pr->ready) {
-      system_.rt().wait(pr->wp, "home flush ack");
-    }
-    erase_reply(cookie);
+    await_reply(cookie, "home flush ack");
   }
 }
 
@@ -675,21 +581,13 @@ void DsmProcess::gc_validate(const OwnerDelta& owners) {
     }
   }
   if (!batchable.empty()) {
-    // One trap charge per batched page; charged in a loop so the deferred
-    // CPU flushes at exactly the same points as the unbatched path.
-    for (std::size_t i = 0; i < batchable.size(); ++i) {
-      (*ctr_gc_validation_faults_)++;
-      compute(sim::to_seconds(system_.cluster().cost().fault_fixed));
-    }
+    // No fault span: the batched group's time stays in the GC prepare span.
     system_.stats().counter("dsm.gc_batched_fetch_rounds") +=
-        resolve_multi_writer_pending(batchable);
-    for (PageId p : batchable) {
-      ANOW_CHECK(engine_->page(p).is_valid());
-    }
+        validate_pages(batchable, ctr_gc_validation_faults_,
+                       /*fault_span=*/false);
   }
   for (PageId p : rest) {
-    (*ctr_gc_validation_faults_)++;
-    fault_in(p);
+    validate_pages({&p, 1}, ctr_gc_validation_faults_);
   }
 }
 
@@ -705,10 +603,9 @@ void DsmProcess::handle(Envelope env) {
   // let a later envelope from the same sender be handled first, and the
   // transport's ordering guarantee would silently break (the apply cost of
   // a piggybacked flush is charged on the writer side, in flush_homes).
-  const bool shared = env.segments.size() > 1;
   if (checker_ != nullptr) checker_->on_envelope_deliver(env.src, uid_, env);
   for (auto& seg : env.segments) {
-    handle_segment(std::move(seg), env.src, shared);
+    handle_segment(std::move(seg), env.src);
   }
   // Page replies produced for this envelope's requests depart together,
   // one envelope per requester (reply-side coalescing): a batched
@@ -717,8 +614,7 @@ void DsmProcess::handle(Envelope env) {
   flush_reply_batches();
 }
 
-void DsmProcess::handle_segment(Segment seg, Uid src,
-                                bool shared_envelope) {
+void DsmProcess::handle_segment(Segment seg, Uid src) {
   std::visit(
       [&](auto& body) {
         using T = std::decay_t<decltype(body)>;
@@ -739,16 +635,16 @@ void DsmProcess::handle_segment(Segment seg, Uid src,
         } else if constexpr (std::is_same_v<T, ShardMove>) {
           handle_shard_move(std::move(body));
         } else if constexpr (std::is_same_v<T, PageReply>) {
-          deliver_reply(body.cookie, std::move(seg), shared_envelope);
+          deliver_reply(body.cookie, std::move(seg));
         } else if constexpr (std::is_same_v<T, DiffReply>) {
-          deliver_reply(body.cookie, std::move(seg), shared_envelope);
+          deliver_reply(body.cookie, std::move(seg));
         } else if constexpr (std::is_same_v<T, HomeFlushAck>) {
-          deliver_reply(body.cookie, std::move(seg), shared_envelope);
+          deliver_reply(body.cookie, std::move(seg));
         } else if constexpr (std::is_same_v<T, OwnerSlice>) {
-          deliver_reply(body.cookie, std::move(seg), shared_envelope);
+          deliver_reply(body.cookie, std::move(seg));
         } else if constexpr (std::is_same_v<T, DirDeltaReply>) {
           if (body.cookie != 0) {
-            deliver_reply(body.cookie, std::move(seg), shared_envelope);
+            deliver_reply(body.cookie, std::move(seg));
           } else if (is_master()) {
             system_.on_dir_delta_reply(std::move(body));
           } else {
@@ -846,6 +742,7 @@ void DsmProcess::handle_page_request(const PageRequest& req, Uid /*src*/) {
   PageReply reply;
   reply.page = req.page;
   reply.cookie = req.cookie;
+  reply.resolves = req.resolves;
   // Recycled buffer (DESIGN.md §10): the requester hands it back to the
   // pool after install_copy, so steady-state serving allocates nothing.
   reply.data = system_.acquire_page_buffer();
@@ -1175,9 +1072,8 @@ void DsmProcess::handle_tree_multicast(TreeMulticast msg) {
   // delivered: the destination's staged segments (join-barrier release,
   // adopt/drop notices, ...) strictly before the instruction, processed
   // in order with the master as the logical sender.
-  const bool shared = own.size() > 1;
   for (auto& seg : own) {
-    handle_segment(std::move(seg), kMasterUid, shared);
+    handle_segment(std::move(seg), kMasterUid);
   }
 }
 
@@ -1185,10 +1081,9 @@ void DsmProcess::handle_tree_multicast(TreeMulticast msg) {
 // Reply rendezvous
 // ---------------------------------------------------------------------------
 
-DsmProcess::PendingReply& DsmProcess::register_reply(std::uint64_t cookie) {
+void DsmProcess::register_reply(std::uint64_t cookie) {
   pending_replies_.push_back(std::make_unique<PendingReply>());
   pending_replies_.back()->cookie = cookie;
-  return *pending_replies_.back();
 }
 
 DsmProcess::PendingReply* DsmProcess::find_reply(std::uint64_t cookie) {
@@ -1198,37 +1093,36 @@ DsmProcess::PendingReply* DsmProcess::find_reply(std::uint64_t cookie) {
   return nullptr;
 }
 
-void DsmProcess::erase_reply(std::uint64_t cookie) {
-  for (auto& pr : pending_replies_) {
-    if (pr->cookie == cookie) {
-      pr = std::move(pending_replies_.back());
+Segment DsmProcess::await_reply(std::uint64_t cookie, const char* tag) {
+  PendingReply* pr = find_reply(cookie);
+  ANOW_CHECK_MSG(pr != nullptr, "await of unknown reply cookie");
+  if (!pr->ready) {
+    system_.rt().wait(pr->wp, tag);
+  }
+  Segment seg = std::move(pr->seg);
+  for (auto& entry : pending_replies_) {  // swap-erase
+    if (entry->cookie == cookie) {
+      entry = std::move(pending_replies_.back());
       pending_replies_.pop_back();
-      return;
+      break;
     }
   }
-  ANOW_CHECK_MSG(false, "erase of unknown reply cookie");
+  return seg;
 }
 
-void DsmProcess::deliver_reply(std::uint64_t cookie, Segment seg,
-                               bool shared_envelope) {
+void DsmProcess::deliver_reply(std::uint64_t cookie, Segment seg) {
   PendingReply* pr = find_reply(cookie);
   ANOW_CHECK_MSG(pr != nullptr, "reply with unknown cookie");
   pr->seg = std::move(seg);
   pr->ready = true;
-  pr->shared_envelope = shared_envelope;
   system_.rt().signal(pr->wp);
 }
 
 Segment DsmProcess::rpc(Uid dst, Segment seg, std::uint64_t cookie) {
   flush_cpu();
-  PendingReply& pr = register_reply(cookie);
+  register_reply(cookie);
   channel_.send(dst, std::move(seg));
-  if (!pr.ready) {
-    system_.rt().wait(pr.wp, "rpc reply");
-  }
-  Segment reply = std::move(pr.seg);
-  erase_reply(cookie);
-  return reply;
+  return await_reply(cookie, "rpc reply");
 }
 
 void DsmProcess::push_instruction(Segment seg) {

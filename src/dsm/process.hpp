@@ -2,17 +2,18 @@
 //
 // The process owns a full local copy of the shared region plus its
 // consistency engine (dsm/protocol/), which holds all per-page protocol
-// state.  What remains here is fiber plumbing — the RPC rendezvous, the
+// state.  What remains here is fiber plumbing — the reply rendezvous, the
 // instruction queue, CPU-cost coalescing — and the range-touch fault
 // front-end (read_range/write_range), which drives the same page-fault
 // state machine mprotect would by calling into the engine: invalid -> fetch
-// (full page or diffs), first-write -> twin + dirty.
+// (full page or diffs) through validate_pages, first-write -> twin + dirty.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -125,7 +126,7 @@ class DsmProcess {
   /// requester and depart as one envelope (reply-side coalescing, the
   /// mirror of the batched multi-page fetch request).
   void handle(Envelope env);
-  void handle_segment(Segment seg, Uid src, bool shared_envelope);
+  void handle_segment(Segment seg, Uid src);
   void handle_page_request(const PageRequest& req, Uid src);
   void handle_diff_request(const DiffRequest& req, Uid src);
   void handle_home_flush(const HomeFlush& msg);
@@ -164,13 +165,12 @@ class DsmProcess {
   /// flat send; interior nodes charge cost().tree_combine first.
   void maybe_forward_tree_arrive();
   void maybe_forward_tree_ack();
-  void deliver_reply(std::uint64_t cookie, Segment seg,
-                     bool shared_envelope);
+  void deliver_reply(std::uint64_t cookie, Segment seg);
   /// Schedules the current envelope's batched page replies: one envelope
   /// per requester after the summed per-page service time.
   void flush_reply_batches();
   /// Sends a request segment and parks until the matching reply (by
-  /// cookie) arrives.
+  /// cookie) arrives: send plus await_reply.
   Segment rpc(Uid dst, Segment seg, std::uint64_t cookie);
   std::uint64_t new_cookie() { return next_cookie_++; }
 
@@ -179,14 +179,28 @@ class DsmProcess {
   Segment next_instruction(const char* tag);
 
   // --- fault machinery ---------------------------------------------------------
-  void fault_in(PageId page);
-  /// PiggybackMode::kAggressive read path: faults every invalid page of
-  /// [first, last) in, batching full-page fetch requests per source (one
-  /// envelope each) and diff fetches per creator across all pages.
-  void fault_in_range(PageId first, PageId last);
-  /// Fetches a full page copy via RPC and installs it in the engine.
-  void fetch_page_copy(PageId page, bool must_cover_pending);
-  void apply_pending_diffs(PageId page);
+  /// The one fault-service path: makes every page of `pages` valid.  Per
+  /// page it charges one trap and bumps `faults` (if not null); then it
+  /// fetches a full copy of each page that has none (requests grouped into
+  /// one envelope per source, replies overlapped); then it refetches, one
+  /// page at a time, the single-writer and home-engine pages whose pending
+  /// notices the copy did not cover; last, it resolves the multi-writer
+  /// pages' notices in one batched diff round per creator.  The callers
+  /// choose only the grouping: a one-page call is the classic per-page
+  /// fault.  `fault_span` = false skips the kFaultService span (GC
+  /// validation's batched group, attributed to its GC prepare span).
+  /// Returns the number of batched diff rounds.
+  std::int64_t validate_pages(std::span<const PageId> pages,
+                              util::StatsRegistry::Counter* faults,
+                              bool fault_span = true);
+  /// Read-faults the invalid pages of [first, last) as one validate_pages
+  /// group (dsm.faults.read per page): the kAggressive grouping.
+  void read_fault_range(PageId first, PageId last);
+  /// Queues a full-page fetch of `page` for fetch_wanted_copies.
+  void want_copy(PageId page);
+  /// Sends every queued page fetch, one envelope per source, and installs
+  /// the replies.
+  void fetch_wanted_copies(bool must_cover_pending);
   /// Issues every fetch plan in parallel and collects the replies
   /// (TreadMarks overlaps these fetches).
   std::vector<DiffReply> fetch_diffs(
@@ -213,8 +227,8 @@ class DsmProcess {
 
   // --- GC ------------------------------------------------------------------------
   /// Validates pages this process will own after GC: multi-writer pages
-  /// with a copy are validated with one batched diff fetch per creator;
-  /// the rest go through the normal fault path.
+  /// with a copy as one validate_pages group (one batched diff fetch per
+  /// creator), the rest one page at a time.
   void gc_validate(const OwnerDelta& owners);
 
   // --- real-backend protection check (DESIGN.md §14) -------------------------
@@ -252,7 +266,6 @@ class DsmProcess {
   util::StatsRegistry::Counter* ctr_faults_write_ = nullptr;
   util::StatsRegistry::Counter* ctr_page_fetches_ = nullptr;
   util::StatsRegistry::Counter* ctr_page_forwards_ = nullptr;
-  util::StatsRegistry::Counter* ctr_consistency_bytes_ = nullptr;
   util::StatsRegistry::Counter* ctr_barrier_waits_ = nullptr;
   util::StatsRegistry::Counter* ctr_lock_acquires_ = nullptr;
   util::StatsRegistry::Counter* ctr_home_flushes_ = nullptr;
@@ -277,6 +290,18 @@ class DsmProcess {
 
   /// heap_sync_all's scratch list of changed pages (kept for its capacity).
   std::vector<PageId> sync_pages_;
+  /// Fault-path scratch, kept for capacity so a fault allocates nothing
+  /// here: read_fault_range's page group, validate_pages' multi-writer pages,
+  /// and the page fetches queued for fetch_wanted_copies.
+  std::vector<PageId> fault_pages_;
+  std::vector<PageId> fault_multi_writer_;
+  struct CopyWant {
+    Uid src;
+    PageId page;
+    std::uint64_t cookie;
+    bool resolves;  // the fetch resolves pending notices
+  };
+  std::vector<CopyWant> copy_wants_;
   /// Coalesced small CPU charges awaiting flush_cpu().
   double deferred_cpu_ = 0.0;
 
@@ -287,14 +312,13 @@ class DsmProcess {
     sim::WaitPoint wp;
     Segment seg;
     bool ready = false;
-    /// The reply rode a multi-segment envelope (reply-side coalescing), so
-    /// it carried no envelope header of its own — the requester's
-    /// consistency-traffic accounting charges payload only.
-    bool shared_envelope = false;
   };
-  PendingReply& register_reply(std::uint64_t cookie);
+  /// Registers a rendezvous; must precede the request's send.
+  void register_reply(std::uint64_t cookie);
+  /// Parks until the reply registered under `cookie` has arrived (`tag`
+  /// names the wait), then takes it and drops the rendezvous.
+  Segment await_reply(std::uint64_t cookie, const char* tag);
   PendingReply* find_reply(std::uint64_t cookie);
-  void erase_reply(std::uint64_t cookie);
   std::vector<std::unique_ptr<PendingReply>> pending_replies_;
   std::uint64_t next_cookie_ = 1;
 

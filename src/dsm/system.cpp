@@ -447,14 +447,10 @@ std::vector<Uid> DsmSystem::collect_owner_map() {
     channel(kMasterUid).send(dir.holder_of(s), OwnerQuery{s, cookie});
   }
   for (const auto& [s, cookie] : cookies) {
-    auto* pr = master.find_reply(cookie);
-    if (!pr->ready) {
-      rt_->wait(pr->wp, "owner slice");
-    }
-    auto& slice = std::get<OwnerSlice>(pr->seg);
+    Segment reply = master.await_reply(cookie, "owner slice");
+    auto& slice = std::get<OwnerSlice>(reply);
     ANOW_CHECK(slice.shard == s);
     scatter(s, slice.owners);
-    master.erase_reply(cookie);
   }
   return out;
 }
@@ -862,16 +858,12 @@ OwnerDelta DsmSystem::collect_gc_delta() {
       channel(kMasterUid).send(holder, std::move(req));
     }
     for (const auto& [shard, cookie] : cookies) {
-      auto* pr = master.find_reply(cookie);
-      if (!pr->ready) {
-        rt_->wait(pr->wp, "dir delta reply");
-      }
-      auto& reply = std::get<DirDeltaReply>(pr->seg);
+      Segment seg = master.await_reply(cookie, "dir delta reply");
+      auto& reply = std::get<DirDeltaReply>(seg);
       if (!reply.slice.empty()) {
         planner_.note_slice(reply.shard, std::move(reply.slice));
       }
       partials.emplace_back(shard, std::move(reply.delta));
-      master.erase_reply(cookie);
     }
   }
   return engine_->gc_begin(std::move(partials));
@@ -1091,7 +1083,7 @@ std::int64_t DsmSystem::master_collect_all_pages() {
   std::int64_t fetched = 0;
   for (PageId p = 0; p < num_pages(); ++p) {
     if (!master.engine().page(p).is_valid()) {
-      master.fault_in(p);
+      master.validate_pages({&p, 1}, /*faults=*/nullptr);
       ++fetched;
     }
   }
@@ -1185,12 +1177,12 @@ void DsmSystem::send_envelope(Uid to, Envelope env) {
   // matches, so any reordering between here and delivery fires a check.
   if (checker_ != nullptr) checker_->on_envelope_send(env.src, to, env);
   // Per-segment-kind traffic histogram + the consistency-traffic metric
-  // (diff fetch rounds and home flushes — the traffic that exists purely
-  // to move modifications; invalidation-resolving page refetches are added
-  // at the fetch site, where the intent is known).  A single-segment
-  // envelope charges the segment the envelope header too, so the metric is
-  // unchanged from the flat send path when nothing coalesces; a
-  // piggybacked segment counts payload only (it pays no header).
+  // (diff fetch rounds, home flushes and invalidation-resolving page
+  // fetches — the traffic that exists purely to move modifications; this
+  // is the only place it is counted).  A single-segment envelope charges
+  // the segment the envelope header too, so the metric is unchanged from
+  // the flat send path when nothing coalesces; a piggybacked segment counts
+  // payload only (it pays no header).
   const bool solo = env.segments.size() == 1;
   *ctr_segments_ += static_cast<std::int64_t>(env.segments.size());
   for (const auto& seg : env.segments) {

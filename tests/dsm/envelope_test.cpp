@@ -56,11 +56,12 @@ struct SegmentEq {
 
   static bool eq(const PageRequest& a, const PageRequest& b) {
     return a.requester == b.requester && a.page == b.page &&
-           a.forward_hops == b.forward_hops && a.cookie == b.cookie;
+           a.forward_hops == b.forward_hops && a.cookie == b.cookie &&
+           a.resolves == b.resolves;
   }
   static bool eq(const PageReply& a, const PageReply& b) {
     return a.page == b.page && a.data == b.data && a.applied == b.applied &&
-           a.cookie == b.cookie;
+           a.cookie == b.cookie && a.resolves == b.resolves;
   }
   static bool eq(const DiffRequest& a, const DiffRequest& b) {
     if (a.requester != b.requester || a.cookie != b.cookie ||
@@ -647,6 +648,68 @@ TEST(Envelope, PiggybackModesAgreeOnResultsAndBatchingSavesMessages) {
   EXPECT_LT(release.messages, off.messages);
   EXPECT_LT(aggressive.messages, release.messages);
   EXPECT_LE(release.segments, off.segments);
+}
+
+// ---------------------------------------------------------------------------
+// Consistency-traffic accounting (DESIGN.md §7): a resolving page fetch is
+// charged like a diff segment — payload, plus the envelope header only when
+// it travels alone.
+// ---------------------------------------------------------------------------
+
+TEST(Envelope, ResolvingFetchRidingAStagedReleaseIsChargedNoHeader) {
+  sim::Cluster cluster({}, 4);
+  DsmConfig cfg;
+  static_cast<Knobs&>(cfg) = Knobs::builtin();  // flat, unsharded, static
+  cfg.engine = EngineKind::kLrc;
+  cfg.piggyback = PiggybackMode::kRelease;
+  cfg.heap_bytes = 1 << 20;
+  // Single-writer pages: the master resolves each slave's notice with a
+  // full-page refetch from that slave (no diffs involved).
+  cfg.default_protocol = Protocol::kSingleWriter;
+  DsmSystem sys(cluster, cfg);
+  auto task = sys.register_task(
+      "own_page", [](DsmProcess& p, const std::vector<std::uint8_t>& a) {
+        if (p.pid() == 0) return;
+        GAddr addr;
+        std::memcpy(&addr, a.data(), sizeof(addr));
+        const GAddr mine = addr + static_cast<GAddr>(p.pid()) * kPageSize;
+        p.write_range(mine, 8);
+        *p.ptr<std::int64_t>(mine) = p.pid();
+      });
+  auto counter = [&](const char* name) {
+    return sys.stats().counter_value(name);
+  };
+  std::int64_t charged = 0, request_bytes = 0, reply_bytes = 0;
+  std::int64_t requests = 0, replies = 0, sum = 0;
+  sys.start(4);
+  sys.run([&](DsmProcess& master) {
+    const GAddr addr = sys.shared_malloc(4 * kPageSize);
+    std::vector<std::uint8_t> packed(sizeof(addr));
+    std::memcpy(packed.data(), &addr, sizeof(addr));
+    sys.run_parallel(task, packed);
+    // The join barrier's release to each slave is still staged in the
+    // master's channel, so each slave's first refetch request rides it.
+    const std::int64_t charged0 = counter("dsm.consistency_traffic_bytes");
+    const std::int64_t req0 = counter("dsm.seg.page_request.bytes");
+    const std::int64_t rep0 = counter("dsm.seg.page_reply.bytes");
+    const std::int64_t reqs0 = counter("dsm.seg.page_request.msgs");
+    const std::int64_t reps0 = counter("dsm.seg.page_reply.msgs");
+    master.read_range(addr + kPageSize, 3 * kPageSize);
+    for (int pid = 1; pid < 4; ++pid) {
+      sum += *master.cptr<std::int64_t>(addr + pid * kPageSize);
+    }
+    charged = counter("dsm.consistency_traffic_bytes") - charged0;
+    request_bytes = counter("dsm.seg.page_request.bytes") - req0;
+    reply_bytes = counter("dsm.seg.page_reply.bytes") - rep0;
+    requests = counter("dsm.seg.page_request.msgs") - reqs0;
+    replies = counter("dsm.seg.page_reply.msgs") - reps0;
+  });
+  EXPECT_EQ(sum, 1 + 2 + 3);
+  ASSERT_EQ(requests, 3);
+  ASSERT_EQ(replies, 3);
+  // Requests: payload only (they shared the release's envelope).  Replies
+  // travel alone: payload plus one header each.
+  EXPECT_EQ(charged, request_bytes + reply_bytes + 3 * kEnvelopeHeaderBytes);
 }
 
 }  // namespace
