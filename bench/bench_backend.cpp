@@ -10,9 +10,9 @@
 //  2. wall-clock application legs: jacobi and hotspot at bench size, with
 //     the differential guarantee that sim and real checksums are
 //     bit-identical.
-//  3. real-parallelism speedup: jacobi on 4 pthreads vs 1 (the simulator
-//     cannot speed up — it always runs on one host thread; the real backend
-//     must).
+//  3. real-parallelism speedup: jacobi on 4 pthreads vs 1, each timed as
+//     the median of 5 runs after a warm-up run (the simulator cannot speed
+//     up — it always runs on one host thread; the real backend must).
 //
 // Results go to BENCH_backend.json; --check-backend turns the differential
 // checksums and the 4-vs-1 speedup floor into an exit code for CI.
@@ -116,8 +116,8 @@ MicroResult touch_sweep(dsm::BackendKind backend, int nprocs,
 }
 
 /// Scrub sweep: every process writes one byte into each page of its own
-/// block every round — one op is one page write (write_range twin +
-/// protection change, then a diff at the barrier).
+/// block every round — one op is one page write (write_range twin, then a
+/// diff at the barrier).
 MicroResult scrub_sweep(dsm::BackendKind backend, int nprocs,
                         std::int32_t npages, int rounds) {
   using namespace dsm;
@@ -211,8 +211,8 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Backend microbenchmarks (host wall-clock)",
       "Fork/join, page touch (first-read fetch), and page scrub (write "
-      "declaration + diff) under --backend sim and --backend real; real "
-      "page costs include the mprotect calls (DESIGN.md §14).");
+      "declaration + diff) under --backend sim and --backend real "
+      "(DESIGN.md §14).");
   struct SweepRow {
     std::string name;
     MicroResult sim, real;
@@ -273,11 +273,14 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Real-parallelism speedup",
       "jacobi under --backend real on " + std::to_string(nprocs) +
-          " pthreads vs 1; the simulator runs every configuration on one "
-          "host thread, the real backend must actually scale.");
-  const auto real_1 = run_app("jacobi", size, dsm::BackendKind::kReal, 1);
-  const auto real_n =
-      run_app("jacobi", size, dsm::BackendKind::kReal, nprocs);
+          " pthreads vs 1, each the median of 5 runs after a warm-up; the "
+          "simulator runs every configuration on one host thread, the real "
+          "backend must actually scale.");
+  const auto real_1 = bench::median_of_repeats(
+      [&] { return run_app("jacobi", size, dsm::BackendKind::kReal, 1); });
+  const auto real_n = bench::median_of_repeats([&] {
+    return run_app("jacobi", size, dsm::BackendKind::kReal, nprocs);
+  });
   const double speedup =
       real_n.seconds > 0.0 ? real_1.seconds / real_n.seconds : 0.0;
   const int host_cores =

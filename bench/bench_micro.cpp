@@ -39,35 +39,13 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+using bench::median_of_repeats;
+
 struct PrimitiveResult {
   std::int64_t ops = 0;
   double seconds = 0.0;
   double ops_per_s() const { return seconds > 0 ? ops / seconds : 0.0; }
 };
-
-double pass_seconds(const PrimitiveResult& r) { return r.seconds; }
-template <typename Result>
-double pass_seconds(const Result& r) {
-  return r.prim.seconds;
-}
-
-/// Steady timing for one primitive.  A single pass of most primitives takes
-/// only a few milliseconds, where one descheduling or a cold cache moves the
-/// figure by 2-4x, so every primitive runs one untimed warm-up pass and then
-/// kRepeats timed passes, and reports the pass with the median wall time.
-/// `pass` runs the whole primitive once (its own setup is outside its timed
-/// loop) and returns a PrimitiveResult or a struct holding one as `prim`.
-template <typename Pass>
-auto median_of_repeats(Pass pass) {
-  constexpr int kRepeats = 5;
-  pass();  // warm-up
-  std::vector<decltype(pass())> runs;
-  for (int i = 0; i < kRepeats; ++i) runs.push_back(pass());
-  std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
-    return pass_seconds(a) < pass_seconds(b);
-  });
-  return runs[kRepeats / 2];
-}
 
 /// Randomized twin/page pairs (~64 scattered dirty words, the protocol's
 /// typical false-sharing shape) and their diffs.

@@ -29,9 +29,10 @@
 // (page, word range, process pair) without changing a byte on the wire.
 //
 // Simulation is not the only executor: --backend real / ANOW_BACKEND=real
-// runs the same protocol on actual pthreads with mmap page privatization
-// and per-page protection checks, reporting measured wall-clock instead of
-// virtual time (DESIGN.md §14).  This particular demo stays on the
+// runs the same protocol on actual pthreads, each process with its own
+// copy of the shared heap (per-page protection checks are added in a
+// -DANOW_PROTOCOL_CHECKS=ON build), reporting measured wall-clock instead
+// of virtual time (DESIGN.md §14).  This particular demo stays on the
 // simulator because its point is the join/leave schedule, which needs
 // virtual time — see tests/exec/backend_test.cpp and
 // bench/bench_backend.cpp for fixed-team programs run both ways with

@@ -136,8 +136,8 @@ struct Knobs {
   /// The table's defaults, ignoring the environment.
   static Knobs builtin();
 
-  /// Execution backend (DESIGN.md §14): the simulator or real pthreads +
-  /// mprotect'd heaps.  Under kReal the simulator-only values of the other
+  /// Execution backend (DESIGN.md §14): the simulator or real pthreads
+  /// (with mprotect'd heaps in the checking build).  Under kReal the simulator-only values of the other
   /// knobs (tracing, time attribution, race checking, adaptive placement)
   /// are rejected by knob_error().
   BackendKind backend{};

@@ -35,15 +35,16 @@ DsmProcess::DsmProcess(DsmSystem& system, Uid uid, sim::HostId host)
                }) {
   const auto& cfg = system_.config();
   real_ = cfg.backend == BackendKind::kReal;
-  if (real_) {
+  protect_ = exec::kCheckedRealHeap && real_;
+  if (protect_) {
     heap_ = std::make_unique<exec::RealHeap>(
         static_cast<std::size_t>(cfg.heap_bytes));
-    // Interned before the first heap_sync_all below; never under sim, so
-    // the simulator's counter set is unchanged.
+    // Interned before the first heap_sync_all below; never on a plain
+    // heap, so the simulator's counter set is unchanged.
     ctr_protect_calls_ = system_.stats().handle("exec.protect_calls");
     ctr_protect_pages_ = system_.stats().handle("exec.protect_pages");
   } else {
-    heap_ = std::make_unique<exec::SimHeap>(
+    heap_ = std::make_unique<exec::PlainHeap>(
         static_cast<std::size_t>(cfg.heap_bytes));
   }
   engine_ = protocol::make_engine(cfg);
@@ -56,10 +57,13 @@ DsmProcess::DsmProcess(DsmSystem& system, Uid uid, sim::HostId host)
   engine_->attach_node(uid_, heap_->prot_base(), system_.num_pages(),
                        system_.protocol_table(), system_.stats(),
                        system_.node_dir_init_for(uid_));
-  heap_sync_all();  // protections from the seeded engine state
-  // Handlers (serve, flush-apply, exclusivity revocation) change page state;
-  // resync protection after every inbound envelope (DESIGN.md §14).
-  system_.rt().set_delivery_hook(uid_, [this] { heap_sync_all(); });
+  if (protect_) {
+    heap_sync_all();  // protections from the seeded engine state
+    // Handlers (serve, flush-apply, exclusivity revocation) change page
+    // state; resync protection after every inbound envelope (DESIGN.md
+    // §14).
+    system_.rt().set_delivery_hook(uid_, [this] { heap_sync_all(); });
+  }
   // The recorder (if any) was enabled before this process was constructed
   // (DsmSystem's constructor runs first), so the cached pointer is stable
   // for the process's lifetime.
@@ -1214,7 +1218,7 @@ void DsmProcess::slave_main() {
 }
 
 // ---------------------------------------------------------------------------
-// Real-backend protection check (DESIGN.md §14)
+// Real-backend protection check, checking build only (DESIGN.md §14)
 // ---------------------------------------------------------------------------
 
 exec::PageAccess DsmProcess::desired_access(PageId page) const {
@@ -1227,7 +1231,7 @@ exec::PageAccess DsmProcess::desired_access(PageId page) const {
 }
 
 void DsmProcess::heap_sync_all() {
-  if (!real_) return;
+  if (!protect_) return;
   engine_->take_access_transitions(sync_pages_);
   std::sort(sync_pages_.begin(), sync_pages_.end());
   std::size_t i = 0;

@@ -71,9 +71,9 @@ class DsmProcess {
 
   /// Raw pointer into the local copy of the shared region.  Only valid for
   /// ranges previously touched via read_range/write_range in this interval.
-  /// Under --backend real this is the mprotect'd app view: a write to a
-  /// page not declared by write_range, or any touch of an invalid page,
-  /// dies on SIGSEGV.
+  /// Under --backend real in the checking build this is the mprotect'd app
+  /// view: a write to a page not declared by write_range, or any touch of
+  /// an invalid page, dies on SIGSEGV.  Elsewhere it aliases region_data().
   template <typename T>
   T* ptr(GAddr addr) {
     return reinterpret_cast<T*>(heap_->app_base() + addr);
@@ -234,8 +234,8 @@ class DsmProcess {
   // --- real-backend protection check (DESIGN.md §14) -------------------------
   /// Brings the app-view protection of every page whose engine state
   /// changed since the last sync in line with desired_access, one mprotect
-  /// per run of adjacent pages with the same target.  No-op under the
-  /// simulator.
+  /// per run of adjacent pages with the same target.  No-op on a PlainHeap
+  /// (the simulator, and the real backend outside the checking build).
   void heap_sync_all();
   exec::PageAccess desired_access(PageId page) const;
 
@@ -272,18 +272,21 @@ class DsmProcess {
   util::StatsRegistry::Counter* ctr_home_flushes_pb_ = nullptr;
   util::StatsRegistry::Counter* ctr_gc_validation_faults_ = nullptr;
   util::StatsRegistry::Counter* ctr_home_validation_faults_ = nullptr;
-  /// Real backend only (null under sim): ranged mprotect calls made by
+  /// RealHeap only (null on a PlainHeap): ranged mprotect calls made by
   /// heap_sync_all and the pages they covered.
   util::StatsRegistry::Counter* ctr_protect_calls_ = nullptr;
   util::StatsRegistry::Counter* ctr_protect_pages_ = nullptr;
 
   /// The shared-region storage behind the execution seam (DESIGN.md §14):
-  /// SimHeap (one plain buffer) or RealHeap (dual-mapped memfd pages whose
-  /// app view is mprotect'd), per DsmConfig::backend.
+  /// PlainHeap (one anonymous mapping), or under --backend real in the
+  /// checking build RealHeap (dual-mapped memfd pages whose app view is
+  /// mprotect'd).
   std::unique_ptr<exec::ProcessHeap> heap_;
-  /// True under --backend real: gates heap_sync_all and skips the virtual
-  /// CPU cost model.
+  /// True under --backend real: skips the virtual CPU cost model.
   bool real_ = false;
+  /// True when heap_ is a RealHeap (exec::kCheckedRealHeap && real_):
+  /// gates heap_sync_all and the delivery hook.
+  bool protect_ = false;
   std::unique_ptr<protocol::ConsistencyEngine> engine_;
   /// Outbound transport: all sends depart through here (DESIGN.md §7).
   Channel channel_;

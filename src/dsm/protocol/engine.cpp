@@ -5,6 +5,7 @@
 
 #include "dsm/protocol/home_lrc_engine.hpp"
 #include "dsm/protocol/lrc_engine.hpp"
+#include "exec/heap.hpp"
 #include "util/check.hpp"
 
 namespace anow::dsm::protocol {
@@ -21,8 +22,9 @@ void ConsistencyEngine::attach_node(Uid self, std::uint8_t* region,
   protocol_ = &protocol;
   stats_ = &stats;
   pages_ = std::vector<PageMeta>(static_cast<std::size_t>(num_pages));
-  // Only a real heap carries per-page protection to keep in sync.
-  if (config_->backend == BackendKind::kReal) {
+  // Only the checking build's RealHeap carries per-page protection to keep
+  // in sync.
+  if (exec::kCheckedRealHeap && config_->backend == BackendKind::kReal) {
     access_marked_.assign(static_cast<std::size_t>(num_pages), 0);
   }
   if (dir.hint_map != nullptr) {

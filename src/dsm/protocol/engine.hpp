@@ -164,8 +164,8 @@ class ConsistencyEngine {
   /// Hands over every page whose access-relevant state (have_copy, pending
   /// notices, dirty, exclusive, exclusive_rw) may have changed since the
   /// last call, each page once and in no particular order, and starts a new
-  /// record.  Only the real backend records; under the simulator the list
-  /// is always empty.
+  /// record.  Only the real backend in the checking build records
+  /// (exec::kCheckedRealHeap); otherwise the list is always empty.
   void take_access_transitions(std::vector<PageId>& out) {
     out.clear();
     out.swap(access_transitions_);
@@ -378,7 +378,7 @@ class ConsistencyEngine {
   /// Records that `p`'s access-relevant state may have changed (see
   /// take_access_transitions); every mutation of those fields calls it.
   void mark_access(PageId p) {
-    if (access_marked_.empty()) return;  // not recording (simulator)
+    if (access_marked_.empty()) return;  // not recording (plain heap)
     std::uint8_t& marked = access_marked_[static_cast<std::size_t>(p)];
     if (marked != 0) return;
     marked = 1;
@@ -401,7 +401,7 @@ class ConsistencyEngine {
   std::vector<PageMeta> pages_;
   std::vector<PageId> dirty_pages_;
   /// Pending protection transitions and their per-page dedup flags; the
-  /// flags are sized only under the real backend.
+  /// flags are sized only for a RealHeap (DsmProcess::heap_sync_all).
   std::vector<PageId> access_transitions_;
   std::vector<std::uint8_t> access_marked_;
   std::int32_t next_iseq_ = 1;

@@ -28,23 +28,23 @@ int prot_for(PageAccess a) {
 
 ProcessHeap::~ProcessHeap() = default;
 
-SimHeap::SimHeap(std::size_t bytes) {
+PlainHeap::PlainHeap(std::size_t bytes) {
   ANOW_CHECK(bytes % kPageBytes == 0);
   // An anonymous mapping, not calloc and not an explicit zero fill: its
   // pages are zero by construction and are committed only when the
-  // simulation first touches them.  calloc gives that only while malloc
+  // program first touches them.  calloc gives that only while malloc
   // hands back fresh memory; once the arena holds freed blocks (fiber
   // bodies allocate on the same thread as the scheduler), calloc reuses
   // dirty memory and must zero-fill every process's whole heap up front.
   void* map = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  ANOW_CHECK_MSG(map != MAP_FAILED, "sim heap mmap failed");
+  ANOW_CHECK_MSG(map != MAP_FAILED, "heap mmap failed");
   app_ = static_cast<std::uint8_t*>(map);
   prot_ = app_;
   bytes_ = bytes;
 }
 
-SimHeap::~SimHeap() { munmap(app_, bytes_); }
+PlainHeap::~PlainHeap() { munmap(app_, bytes_); }
 
 RealHeap::RealHeap(std::size_t bytes) {
   ANOW_CHECK(bytes % kPageBytes == 0);

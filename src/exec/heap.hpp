@@ -6,19 +6,26 @@
 //  * prot_base() — the view the protocol machinery (engine install/serve,
 //    diff apply, region restore) reads and writes.
 //
-// SimHeap aliases both views onto one zeroed buffer.  RealHeap maps the
-// same memfd pages (zero by construction) twice: the app view carries
-// per-page mprotect state that checks the declaration contract (every
-// shared access goes through read_range / write_range), while the protocol
-// view stays PROT_READ|PROT_WRITE so protocol writes never fault.  Desired
-// page protection is derived from engine state by the owning DsmProcess:
+// PlainHeap aliases both views onto one lazily committed anonymous
+// read-write mapping.  Every process gets one under --backend sim, and
+// under --backend real too in a release build: writes are tracked through
+// write_range under both backends, so nothing needs a fault.
+//
+// RealHeap is the contract checker of the -DANOW_PROTOCOL_CHECKS build
+// (kCheckedRealHeap).  It maps the same memfd pages (zero by construction)
+// twice: the app view carries per-page mprotect state that checks the
+// declaration contract (every shared access goes through read_range /
+// write_range), while the protocol view stays PROT_READ|PROT_WRITE so
+// protocol writes never fault.  Desired page protection is derived from
+// engine state by the owning DsmProcess:
 //
 //    invalid (no copy / pending notices)  -> kNone   (any touch = app bug)
 //    valid, clean                         -> kRead   (undeclared write = app bug)
 //    valid and dirty / exclusive-writable -> kWrite  (declared this interval)
 //
 // Nothing handles the resulting SIGSEGV: an undeclared access dies on the
-// default disposition (or the sanitizer's report).
+// default disposition (or the sanitizer's report).  RealHeap is compiled in
+// every build; only the checking build gives it to DsmProcess.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +35,15 @@
 namespace anow::exec {
 
 constexpr std::size_t kPageBytes = 4096;
+
+/// Whether a DsmProcess under --backend real runs on a RealHeap whose app
+/// view is kept in step with the engine's page state (the checking build)
+/// or on a PlainHeap (release).
+#ifdef ANOW_PROTOCOL_CHECKS
+inline constexpr bool kCheckedRealHeap = true;
+#else
+inline constexpr bool kCheckedRealHeap = false;
+#endif
 
 enum class PageAccess : std::uint8_t { kNone = 0, kRead = 1, kWrite = 2 };
 
@@ -42,10 +58,10 @@ class ProcessHeap {
     return static_cast<std::int32_t>(bytes_ / kPageBytes);
   }
 
-  /// Real backend: sets the app view's protection of pages [first,
+  /// RealHeap: sets the app view's protection of pages [first,
   /// first + count) with at most one mprotect, skipping the leading and
   /// trailing pages that already have it.  Returns the number of pages the
-  /// call covered (0: no syscall).  No-op on SimHeap.
+  /// call covered (0: no syscall).  No-op on PlainHeap.
   virtual std::int32_t set_access(std::int32_t /*first*/,
                                   std::int32_t /*count*/, PageAccess /*a*/) {
     return 0;
@@ -54,7 +70,7 @@ class ProcessHeap {
   std::int32_t set_access(std::int32_t page, PageAccess a) {
     return set_access(page, 1, a);
   }
-  /// The app view's current protection of `page` (SimHeap: always
+  /// The app view's current protection of `page` (PlainHeap: always
   /// writable).
   virtual PageAccess access(std::int32_t /*page*/) const {
     return PageAccess::kWrite;
@@ -66,14 +82,15 @@ class ProcessHeap {
   std::size_t bytes_ = 0;
 };
 
-/// Simulator backend: one zeroed buffer, both views alias it.
-class SimHeap final : public ProcessHeap {
+/// One anonymous read-write mapping, both views alias it.
+class PlainHeap final : public ProcessHeap {
  public:
-  explicit SimHeap(std::size_t bytes);
-  ~SimHeap() override;
+  explicit PlainHeap(std::size_t bytes);
+  ~PlainHeap() override;
 };
 
-/// Real backend: dual-mapped memfd pages, app view under mprotect.
+/// The checking build's real-backend heap: dual-mapped memfd pages, app
+/// view under mprotect.
 class RealHeap final : public ProcessHeap {
  public:
   explicit RealHeap(std::size_t bytes);

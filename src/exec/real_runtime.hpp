@@ -54,9 +54,13 @@ class RealRuntime final : public Runtime {
   void run(std::function<void()> master_body) override;
   bool in_context_of(ProcId uid) const override;
 
-  /// Hook a DsmProcess attaches so the runtime resyncs its protection after
-  /// every inbound envelope.
+  /// Hook a DsmProcess on a protected heap (the checking build) attaches so
+  /// the runtime resyncs its protection after every inbound envelope.
   void set_delivery_hook(ProcId uid, std::function<void()> after) override;
+  bool has_delivery_hook(ProcId uid) const {
+    return static_cast<bool>(
+        procs_[static_cast<std::size_t>(uid)]->after_delivery);
+  }
 
   /// Drains at most one pending inbound closure for the calling process.
   /// Returns false if all rings were empty.  Exposed for poll points

@@ -98,8 +98,9 @@ class Runtime {
   virtual bool in_context_of(ProcId uid) const = 0;
 
   /// Real backend only: a hook run after every inbound envelope delivered to
-  /// `uid` — the app-view protection resync.  No-op under the simulator
-  /// (there is no protection to keep in step).
+  /// `uid` — the app-view protection resync of the checking build's
+  /// RealHeap.  No-op under the simulator (there is no protection to keep
+  /// in step).
   virtual void set_delivery_hook(ProcId /*uid*/,
                                  std::function<void()> /*after*/) {}
 };

@@ -8,6 +8,7 @@
 
 #include "core/checkpoint.hpp"
 #include "dsm/system.hpp"
+#include "real_knobs.hpp"
 #include "sim/cluster.hpp"
 #include "util/check.hpp"
 
@@ -119,6 +120,7 @@ TEST(Checkpoint, RefusedUpFrontUnderTheRealBackend) {
   sim::Cluster cluster({}, 1);
   DsmConfig cfg = small_config();
   cfg.backend = dsm::BackendKind::kReal;
+  test::use_real_knob_values(cfg);
   DsmSystem sys(cluster, cfg);
   Checkpointer ckpt(sys);
   sys.start(1);

@@ -1,13 +1,17 @@
 // Execution-backend tests (DESIGN.md §14).
 //
-// Four layers of coverage:
+// Five layers of coverage:
 //  * unit tests for the real backend's building blocks (the SPSC ring and
 //    RealHeap's dual mapping);
 //  * differential tests: every Table 1 workload (+ hotspot) at test size,
 //    run under --backend sim and --backend real, must produce bit-identical
 //    checksums and agree on the deterministic protocol statistics;
-//  * the declaration contract: under --backend real a write to a page that
-//    was not declared with write_range dies on SIGSEGV;
+//  * the heap each build gives a real-backend process: in a release build
+//    one unprotected mapping (no memfd, no mprotect, no delivery hook); in
+//    the checking build (-DANOW_PROTOCOL_CHECKS=ON) the protected RealHeap,
+//    whose ranged protection sync is pinned by call counts;
+//  * the declaration contract: in the checking build a write to a page
+//    that was not declared with write_range dies on SIGSEGV;
 //  * error paths: everything that needs the virtual clock (tracing, race
 //    checking, adaptive placement, adaptation events) is rejected up front
 //    with a util::CheckError under --backend real, and the knob table turns
@@ -16,16 +20,21 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dsm/system.hpp"
 #include "exec/heap.hpp"
+#include "exec/real_runtime.hpp"
 #include "exec/spsc_queue.hpp"
 #include "harness/runner.hpp"
+#include "real_knobs.hpp"
 #include "sim/cluster.hpp"
 #include "util/check.hpp"
 #include "util/options.hpp"
@@ -99,16 +108,24 @@ TEST(RealHeap, RangedAccessCoversTheRunAndAliasesTheViews) {
   EXPECT_DEATH(heap.app_base()[6 * kPageBytes] = 1, "");  // kNone page
 }
 
+/// A real-backend DsmConfig with a 1 MiB heap, whatever the environment's
+/// simulator-only knobs say.
+dsm::DsmConfig real_dsm_config() {
+  dsm::DsmConfig cfg;
+  cfg.heap_bytes = 1 << 20;
+  cfg.backend = dsm::BackendKind::kReal;
+  test::use_real_knob_values(cfg);
+  return cfg;
+}
+
+#ifdef ANOW_PROTOCOL_CHECKS
 /// A 1-process real system with a 3-page allocation: the master reads the
 /// whole range, declares it written when `declare` is set, then stores into
 /// its middle page.  Returns the stored value read back and the mprotect
 /// calls the declaration's sync made.
 std::pair<std::int64_t, std::int64_t> store_into_range(bool declare) {
   sim::Cluster cluster({}, 1);
-  dsm::DsmConfig cfg;
-  cfg.heap_bytes = 1 << 20;
-  cfg.backend = dsm::BackendKind::kReal;
-  dsm::DsmSystem sys(cluster, cfg);
+  dsm::DsmSystem sys(cluster, real_dsm_config());
   sys.start(1);
   std::int64_t value = 0;
   std::int64_t calls = 0;
@@ -137,15 +154,13 @@ TEST(RealHeap, InitialSyncOfAValidHeapIsOneCall) {
   // The unsharded master starts with a valid copy of every page: one run,
   // one call, covering the whole heap.
   sim::Cluster cluster({}, 1);
-  dsm::DsmConfig cfg;
-  cfg.heap_bytes = 1 << 20;
-  cfg.backend = dsm::BackendKind::kReal;
-  dsm::DsmSystem sys(cluster, cfg);
+  dsm::DsmSystem sys(cluster, real_dsm_config());
   sys.start(1);
   EXPECT_EQ(sys.stats().counter_value("exec.protect_calls"), 1);
   EXPECT_EQ(sys.stats().counter_value("exec.protect_pages"), sys.num_pages());
   sys.run([](dsm::DsmProcess&) {});
 }
+#endif  // ANOW_PROTOCOL_CHECKS
 
 // ---------------------------------------------------------------------------
 // Differential: sim vs real
@@ -160,6 +175,7 @@ harness::RunResult run_once(const std::string& app, dsm::BackendKind backend,
   cfg.adaptive = false;
   cfg.backend = backend;
   cfg.engine = engine;
+  test::use_real_knob_values(cfg);
   return harness::run_workload(cfg);
 }
 
@@ -225,6 +241,7 @@ INSTANTIATE_TEST_SUITE_P(
              dsm::engine_kind_name(std::get<1>(info.param));
     });
 
+#ifdef ANOW_PROTOCOL_CHECKS
 TEST(BackendDifferential, OneProcessJacobiProtectCallsStayBounded) {
   // Test-size Jacobi on one process: one call opens the seeded heap
   // read-only and one opens the grid's pages for the master's exclusive
@@ -242,6 +259,77 @@ TEST(BackendDifferential, OneProcessJacobiProtectCallsStayBounded) {
   EXPECT_EQ(sim.stats.counters.count("exec.protect_calls"), 0u);
   EXPECT_EQ(sim.stats.counters.count("exec.protect_pages"), 0u);
 }
+#else
+// ---------------------------------------------------------------------------
+// Release real backend: one unprotected mapping per process
+// ---------------------------------------------------------------------------
+
+struct Mapping {
+  std::uintptr_t lo = 0, hi = 0;
+  std::string perms, line;
+};
+
+/// This process's mappings, from /proc/self/maps.
+std::vector<Mapping> mappings() {
+  std::vector<Mapping> out;
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    Mapping m;
+    m.line = line;
+    std::istringstream in(line);
+    char dash = 0;
+    in >> std::hex >> m.lo >> dash >> m.hi >> m.perms;
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+TEST(PlainRealHeap, ViewsAliasOnOneReadWriteMappingWithNoHook) {
+  sim::Cluster cluster({}, 2);
+  const dsm::DsmConfig cfg = real_dsm_config();
+  dsm::DsmSystem sys(cluster, cfg);
+  sys.start(2);
+  sys.run([&](dsm::DsmProcess& master) {
+    const dsm::GAddr addr = sys.shared_malloc(3 * dsm::kPageSize);
+    master.write_range(addr, 3 * dsm::kPageSize);
+    master.ptr<std::int64_t>(addr + dsm::kPageSize)[0] = 42;
+    master.read_range(addr, 3 * dsm::kPageSize);
+  });
+  const std::vector<Mapping> maps = mappings();
+  for (const Mapping& m : maps) {
+    // The checking build's memfd is named "anow-heap".
+    EXPECT_EQ(m.line.find("anow-heap"), std::string::npos) << m.line;
+  }
+  const auto& rt = dynamic_cast<const exec::RealRuntime&>(sys.rt());
+  for (dsm::Uid uid = 0; uid < 2; ++uid) {
+    dsm::DsmProcess& p = sys.process(uid);
+    // The app view is the protocol view: no second mapping.
+    EXPECT_EQ(p.ptr<std::uint8_t>(0), p.region_data()) << uid;
+    // One read-write mapping over the whole heap: an mprotect to any other
+    // access would have split it.
+    const auto base = reinterpret_cast<std::uintptr_t>(p.region_data());
+    const auto it = std::find_if(maps.begin(), maps.end(), [&](const auto& m) {
+      return m.lo <= base && base < m.hi;
+    });
+    ASSERT_NE(it, maps.end()) << uid;
+    EXPECT_GE(it->hi, base + static_cast<std::uintptr_t>(cfg.heap_bytes))
+        << it->line;
+    EXPECT_EQ(it->perms.substr(0, 2), "rw") << it->line;
+    EXPECT_FALSE(rt.has_delivery_hook(uid)) << uid;
+  }
+}
+
+TEST(PlainRealHeap, FourProcessJacobiMakesNoProtectCallsAndMatchesSim) {
+  const harness::RunResult real =
+      run_once("jacobi", dsm::BackendKind::kReal, dsm::EngineKind::kLrc);
+  const harness::RunResult sim =
+      run_once("jacobi", dsm::BackendKind::kSim, dsm::EngineKind::kLrc);
+  EXPECT_EQ(real.checksum, sim.checksum);
+  EXPECT_EQ(real.stats.counters.count("exec.protect_calls"), 0u);
+  EXPECT_EQ(real.stats.counters.count("exec.protect_pages"), 0u);
+}
+#endif  // ANOW_PROTOCOL_CHECKS
 
 TEST(BackendDifferential, SimIsDeterministic) {
   // Pinning --backend sim must stay byte-identical run to run: same
@@ -263,10 +351,7 @@ TEST(BackendDifferential, SimIsDeterministic) {
 /// through write_range when `declare` is set, undeclared otherwise.
 std::int64_t store_after_read(bool declare) {
   sim::Cluster cluster({}, 2);
-  dsm::DsmConfig cfg;
-  cfg.heap_bytes = 1 << 20;
-  cfg.backend = dsm::BackendKind::kReal;
-  dsm::DsmSystem sys(cluster, cfg);
+  dsm::DsmSystem sys(cluster, real_dsm_config());
   dsm::GAddr addr = 0;
   auto task = sys.register_task(
       "store", [&](dsm::DsmProcess& p, const std::vector<std::uint8_t>&) {
@@ -292,11 +377,13 @@ TEST(DeclarationContract, DeclaredWriteSucceeds) {
   EXPECT_EQ(store_after_read(/*declare=*/true), 42);
 }
 
+#ifdef ANOW_PROTOCOL_CHECKS
 TEST(DeclarationContract, UndeclaredWriteDies) {
   // The real backend starts threads; re-exec the binary for the child.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(store_after_read(/*declare=*/false), "");
 }
+#endif  // ANOW_PROTOCOL_CHECKS
 
 // ---------------------------------------------------------------------------
 // Real-backend error paths
@@ -309,6 +396,7 @@ harness::RunConfig real_config() {
   cfg.nprocs = 2;
   cfg.adaptive = false;
   cfg.backend = dsm::BackendKind::kReal;
+  test::use_real_knob_values(cfg);
   return cfg;
 }
 
